@@ -88,9 +88,7 @@ def entry() -> Any:
     corpus = _read(SF001, "documents").map_batches(
         _docs_as_corpus_stage, batch_format="pyarrow"
     )
-    return QF.run_quality_filter(corpus, langid_concurrency=(1, 2),
-                                 perplexity_concurrency=(1, 2),
-                                 score_concurrency=(1, 2))
+    return QF.run_quality_filter(corpus)
 
 
 # --------------------------------------------------------------- queries
@@ -1365,8 +1363,7 @@ def _langid_documents(sf_dir: str):
     from dataprof_ray.pipelines import textstats as T
 
     return T.langid(_read(sf_dir, "documents", columns=["doc_id", "text"],
-                          override_num_blocks=16),
-                    concurrency=(1, 4))
+                          override_num_blocks=16))
 
 
 def _quality_filter_documents(sf_dir: str):
@@ -1375,9 +1372,7 @@ def _quality_filter_documents(sf_dir: str):
     corpus = _read(sf_dir, "documents").map_batches(
         _docs_as_corpus_stage, batch_format="pyarrow"
     )
-    return QF.run_quality_filter(corpus, langid_concurrency=(1, 4),
-                                 perplexity_concurrency=(1, 4),
-                                 score_concurrency=(1, 4))
+    return QF.run_quality_filter(corpus)
 
 
 def _minhash_duplicate_groups(sf_dir: str) -> pd.DataFrame:
@@ -1520,7 +1515,7 @@ def _domain_rollup(sf_dir: str) -> pd.DataFrame:
     corpus = _read(sf_dir, "documents").map_batches(
         _docs_as_corpus_stage, batch_format="pyarrow"
     )
-    filtered = QF.run_quality_filter(corpus, fused=True, score_concurrency=(1, 4))
+    filtered = QF.run_quality_filter(corpus)
     return QF.domain_rollup(filtered)
 
 

@@ -3,7 +3,8 @@
 
 Default: run the headline pipelines over $GRAFT_SF_DIR (default
 /root/testdata/sf0.1) under ray.init(address="local",
-num_cpus=$RAY_GRAFT_CPUS or 32) and print ONE JSON line.
+num_cpus=$RAY_GRAFT_CPUS or this process's CPU affinity) and print ONE JSON
+line.
 
 --scaling: run the flagship quality-filter pipeline at two CPU levels
 (default num_cpus=4 then 16; override with SCALING_CPUS="8,32") in FRESH
@@ -24,7 +25,8 @@ import sys
 import time
 
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS",
+                              len(os.sched_getaffinity(0))))
 BENCH_DOCS = int(os.environ.get("BENCH_DOCS", "40000"))
 SCALING_DOCS = int(os.environ.get("SCALING_DOCS", "800000"))
 
@@ -48,23 +50,14 @@ def consume(ds) -> int:
     return total
 
 
-def run_quality_filter(corpus_dir: str, cpus: int) -> tuple[int, float]:
-    """Fused actor-pool configuration; consumed with a distributed count so
-    the driver never becomes the sink bottleneck."""
+def run_quality_filter(corpus_dir: str) -> tuple[int, float]:
+    """The flagship filter, consumed with a distributed count so the driver
+    never becomes the sink bottleneck."""
     from dataprof_ray.pipelines import quality_filter as QF
 
     ds = QF.read_corpus(corpus_dir)
     t0 = time.perf_counter()
-    # Fixed whole-actor pool of cpus minus one eighth: autoscaling ramps too
-    # slowly for short jobs (measured 2.6x slower at 32 cpus); a pool of ALL
-    # cpus starves the read tasks (measured 20x slower at 8 cpus); and
-    # oversubscribing with fractional-CPU actors thrashes at low core counts
-    # (measured: 7 half-CPU actors on 4 cores never finished).
-    pool = max(1, cpus - max(1, cpus // 8))
-    out = QF.run_quality_filter(
-        ds, score_concurrency=pool, batch_size=1024, fused=True,
-    )
-    rows = out.count()
+    rows = QF.run_quality_filter(ds, batch_size=1024).count()
     return rows, time.perf_counter() - t0
 
 
@@ -134,7 +127,7 @@ def main() -> None:
                  logging_level="ERROR")
     corpus = corpus_path(BENCH_DOCS)
 
-    docs, qf_sec = run_quality_filter(corpus, NUM_CPUS)
+    docs, qf_sec = run_quality_filter(corpus)
     queries = bench_queries()
     queries["quality_filter"] = round(qf_sec, 3)
     total = round(sum(queries.values()), 3)
@@ -157,7 +150,7 @@ def scaling_worker(cpus: int) -> None:
     ray.init(address="local", num_cpus=cpus, include_dashboard=False,
              logging_level="ERROR")
     corpus = corpus_path(SCALING_DOCS)
-    docs, sec = run_quality_filter(corpus, cpus)
+    docs, sec = run_quality_filter(corpus)
     print(json.dumps({"cpus": cpus, "docs": docs, "sec": round(sec, 3),
                       "docs_per_sec": round(docs / sec, 1)}))
     ray.shutdown()

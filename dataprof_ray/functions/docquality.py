@@ -274,6 +274,21 @@ class TrigramLM:
         return out
 
 
+# Process-wide model instances: the models are read-only once built, and the
+# stages that use them run as stateless Ray tasks, so each worker process
+# builds each model once (0.11 s) on first use instead of once per batch.
+_SHARED_MODELS: dict = {}
+
+
+def shared_model(cls):
+    """This process's one instance of a no-argument model class
+    (``LangIdModel``, ``TrigramLM``), built on first use."""
+    model = _SHARED_MODELS.get(cls)
+    if model is None:
+        model = _SHARED_MODELS[cls] = cls()
+    return model
+
+
 # ------------------------------------------------------------------ heuristics
 
 

@@ -407,15 +407,22 @@ def scrub_text(text: str) -> tuple[str, int]:
             text, k = rx.subn(f"<{name}>", text)
             total += k
         else:
+            # a rejected candidate must not consume its characters: the
+            # search resumes one past its start, so a valid hit that
+            # overlaps it (a card right after an SSN) is still tried
             out = []
             last = 0
             k = 0
-            for m in rx.finditer(text):
+            m = rx.search(text)
+            while m is not None:
                 if validator(m.group(0)):
                     out.append(text[last:m.start()])
                     out.append(f"<{name}>")
                     last = m.end()
                     k += 1
+                    m = rx.search(text, m.end())
+                else:
+                    m = rx.search(text, m.start() + 1)
             if k:
                 out.append(text[last:])
                 text = "".join(out)

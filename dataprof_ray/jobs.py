@@ -38,8 +38,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default: <output>/manifest.jsonl)")
     p.add_argument("--batch-size", type=int, default=2048)
     p.add_argument("--max-concurrent-shards", type=int, default=None,
-                   help="cap on shards in flight (default: let the Ray "
-                        "scheduler pipeline all of them)")
+                   help="cap on shards in flight (default: one per 8 "
+                        "cluster CPUs, at least one)")
     return p
 
 

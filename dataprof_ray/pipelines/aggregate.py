@@ -704,9 +704,13 @@ def rollup_aggregate(ds, keys: Sequence[str], specs: Sequence[tuple],
 
     finest = preagg_groupby(ds, keys, specs, batch_size=batch_size)
 
-    fold = {name: ("sum" if fn in ("sum", "count") else fn)
-            for name, _col, fn in specs}
     names = [name for name, _c, _f in specs]
+
+    def fold(col, fn):
+        # SQL: SUM over only NULLs is NULL (min_count=1); COUNT folds to 0
+        if fn == "sum":
+            return col.sum(min_count=1)
+        return col.sum() if fn == "count" else getattr(col, fn)()
 
     frames = []
     for s in sets:
@@ -721,13 +725,12 @@ def rollup_aggregate(ds, keys: Sequence[str], specs: Sequence[tuple],
                 {name: [0 if fn == "count" else np.nan]
                  for name, _c, fn in specs})
         elif not s:
-            part = pd.DataFrame([{name: finest[name].sum()
-                                  if fold[name] == "sum"
-                                  else getattr(finest[name], fold[name])()
-                                  for name in names}])
+            part = pd.DataFrame([{name: fold(finest[name], fn)
+                                  for name, _c, fn in specs}])
         else:
-            part = (finest.groupby(list(s), dropna=False, sort=False)
-                    .agg(fold).reset_index())
+            g = finest.groupby(list(s), dropna=False, sort=False)
+            part = pd.DataFrame({name: fold(g[name], fn)
+                                 for name, _c, fn in specs}).reset_index()
         for k in keys:
             if k not in s:
                 part[k] = None
@@ -907,6 +910,19 @@ def exact_global_quantiles(ds, col: str, qs: Sequence[float],
     return results
 
 
+def _fold_column_partials(ds, cols, partial, fields) -> pd.DataFrame:
+    """Sum the per-batch ``(column_name, *fields)`` partials of ``partial``
+    into one row per column of ``cols``, in order; 0 where no batch
+    reported (zero-row input yields no batches at all)."""
+    parts = (ds.select_columns(cols)
+             .map_batches(partial, batch_format="pyarrow")
+             .to_pandas())
+    if parts.empty:
+        return pd.DataFrame(0, index=cols, columns=fields)
+    return parts.groupby("column_name", sort=False)[fields].sum().reindex(
+        cols, fill_value=0)
+
+
 def winsorized_stats(ds, cols: Sequence[str], lo_q: float = 0.05,
                      hi_q: float = 0.95, decimals: int = 4,
                      k: int = 512) -> pd.DataFrame:
@@ -936,10 +952,7 @@ def winsorized_stats(ds, cols: Sequence[str], lo_q: float = 0.05,
                          "n": pa.array(ns, pa.int64()),
                          "s": pa.array(sums, pa.float64())})
 
-    parts = (ds.select_columns(cols)
-             .map_batches(partial, batch_format="pyarrow")
-             .to_pandas())
-    agg = parts.groupby("column_name", sort=False).sum().reindex(cols)
+    agg = _fold_column_partials(ds, cols, partial, ["n", "s"])
     out = pd.DataFrame({
         "column_name": cols,
         "n": agg["n"].to_numpy(np.int64),
@@ -1001,10 +1014,7 @@ def robust_outlier_stats(ds, cols: Sequence[str], z: float = 3.0,
                          "n": pa.array(ns, pa.int64()),
                          "n_outliers": pa.array(outs, pa.int64())})
 
-    parts = (ds.select_columns(cols)
-             .map_batches(partial, batch_format="pyarrow")
-             .to_pandas())
-    agg = parts.groupby("column_name", sort=False).sum().reindex(cols)
+    agg = _fold_column_partials(ds, cols, partial, ["n", "n_outliers"])
 
     def _r(x):
         return float(round_away(np.float64(x), decimals))

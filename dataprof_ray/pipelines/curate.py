@@ -1,7 +1,7 @@
 """End-to-end corpus curation: the composition a training-data team runs.
 
     read corpus shards
-      -> quality filter + PII scrub     (flagship fused actor pool)
+      -> quality filter + PII scrub     (flagship fused task stage)
       -> keep only surviving docs       (streaming filter, no shuffle)
       -> cross-document line dedup      (boilerplate removal, C4-style)
       -> normalized exact dedup         (canonical-form duplicates, min-url)
@@ -36,7 +36,6 @@ def curate_corpus(
     decontam_n: int = 8,
     decontam_max_frac: float = 0.05,
     prior_ds=None,
-    score_concurrency=(1, 8),
     batch_size: int = 2048,
 ) -> str:
     """Run the full curation pipeline and write hive-partitioned Parquet
@@ -60,9 +59,7 @@ def curate_corpus(
 
     ds = (corpus_path if hasattr(corpus_path, "map_batches")
           else read_corpus(corpus_path))
-    filtered = run_quality_filter(
-        ds, config=config, fused=True,
-        score_concurrency=score_concurrency, batch_size=batch_size)
+    filtered = run_quality_filter(ds, config=config, batch_size=batch_size)
 
     def kept_only(batch: pa.Table) -> pa.Table:
         keep = pc.fill_null(batch.column("keep"), False)

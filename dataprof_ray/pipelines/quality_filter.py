@@ -1,22 +1,23 @@
 """Flagship pipeline: web-corpus quality filter + PII scrub (the north rule).
 
     read_parquet(shards, columns pruned)
-      -> map_batches(extract)                  stateless, Arrow zero-copy
-      -> map_batches(LangIdStage,   actors)    model table built once per actor
-      -> map_batches(PerplexityStage, actors)  trigram LM built once per actor
-      -> map_batches(ScoreScrubStage, actors)  heuristics + keep/drop + scrub
+      -> map_batches(filter_batch, tasks)   extract -> langid -> perplexity
+                                            -> rules + score -> PII scrub
       -> write_parquet / profile rollup / per-domain rollup
 
 Scale notes (100 TB design):
-- ``html`` (the wide binary column) is read only to be consumed by the first
-  stage; every later stage carries text columns only.
+- One shape: the whole per-document pass is one stateless ``map_batches``
+  task, so a batch crosses the object store once between read and output.
+  The models are read-only and built once per worker process
+  (``DQ.shared_model``), so no actor pool holds them, or a CPU between
+  batches.
+- ``html`` (the wide binary column) is consumed by extraction and never
+  reaches the output.
 - No shuffle anywhere in the keep/scrub path — it is embarrassingly parallel.
   The only wide op is the optional per-domain rollup, which pre-aggregates
   per batch (one row per (salted domain) per batch) before the groupby, so
   the exchange moves tiny partials, never documents. Hot domains are salted
   (hash(url) % salt) and re-merged after the shuffle.
-- All stages are vectorized per batch; regex/LM/stopword state lives in actor
-  ``__init__`` (once per actor, not per batch).
 
 Single-process oracle ``oracle_filter`` applies the identical kernels to one
 pyarrow.Table; parity tests require byte-identical extracted/scrubbed text
@@ -87,10 +88,10 @@ def extract_stage(batch: pa.Table) -> pa.Table:
 
 
 class LangIdStage:
-    """Actor-pool stage: stopword-profile language ID (model in __init__)."""
+    """Stopword-profile language ID (the process's shared model)."""
 
     def __init__(self) -> None:
-        self.model = DQ.LangIdModel()
+        self.model = DQ.shared_model(DQ.LangIdModel)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         texts = batch.column("extracted_text").to_pylist()
@@ -100,10 +101,10 @@ class LangIdStage:
 
 
 class PerplexityStage:
-    """Actor-pool stage: character-trigram LM perplexity (LM in __init__)."""
+    """Character-trigram LM perplexity (the process's shared LM)."""
 
     def __init__(self) -> None:
-        self.lm = DQ.TrigramLM()
+        self.lm = DQ.shared_model(DQ.TrigramLM)
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         texts = batch.column("extracted_text").to_pylist()
@@ -112,8 +113,8 @@ class PerplexityStage:
 
 
 class ScoreScrubStage:
-    """Actor-pool stage: heuristic metrics -> keep/drop + quality score +
-    validator-gated PII scrub of kept documents."""
+    """Heuristic metrics -> keep/drop + quality score + validator-gated PII
+    scrub of kept documents."""
 
     def __init__(self, config: Optional[DQ.FilterConfig] = None) -> None:
         self.config = config or DQ.FilterConfig()
@@ -175,11 +176,9 @@ class ScoreScrubStage:
 
 
 class FusedFilterStage:
-    """Single actor-pool stage running extract -> langid -> perplexity ->
-    score+scrub in one ``__call__``. Semantically identical to the staged
-    pipeline (same kernels, same order) but documents cross the object
-    store once instead of four times — the high-throughput configuration.
-    All model state still loads once per actor in ``__init__``."""
+    """The whole per-document pass in one call: extract -> langid ->
+    perplexity -> score+scrub (the same kernels, in the same order, as
+    ``oracle_filter``). Cheap to build: the models are shared per process."""
 
     def __init__(self, config: Optional[DQ.FilterConfig] = None) -> None:
         self.langid = LangIdStage()
@@ -190,77 +189,42 @@ class FusedFilterStage:
         return self.score(self.ppl(self.langid(extract_stage(batch))))
 
 
-class ToxicityStage:
-    """Optional actor-pool stage over the filter output: lexicon-based
-    toxicity masking of kept documents' scrubbed text, emitting
-    ``toxicity_hits`` and rewriting ``scrubbed_text``. Compiled lexicon
-    lives at module scope (once per worker process)."""
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        keeps = batch.column("keep").to_numpy(zero_copy_only=False)
-        texts = batch.column("scrubbed_text").to_pylist()
-        counts, masked = P.toxicity_series(
-            [t if k else "" for t, k in zip(texts, keeps)]
-        )
-        out_texts = [m if k else t for m, t, k in zip(masked, texts, keeps)]
-        batch = batch.drop_columns(["scrubbed_text"])
-        return batch.append_column(
-            "scrubbed_text", pa.array(out_texts, pa.string())
-        ).append_column("toxicity_hits", pa.array(counts, pa.int64()))
-
-
-def scrub_toxicity(filtered_ds, concurrency=(1, 8), batch_size: int = 2048):
-    return filtered_ds.map_batches(
-        ToxicityStage, batch_format="pyarrow", batch_size=batch_size,
-        concurrency=concurrency,
+def toxicity_stage(batch: pa.Table) -> pa.Table:
+    """Lexicon-based toxicity masking of kept documents' scrubbed text,
+    emitting ``toxicity_hits`` and rewriting ``scrubbed_text``. The compiled
+    lexicon lives at module scope (once per worker process)."""
+    keeps = batch.column("keep").to_numpy(zero_copy_only=False)
+    texts = batch.column("scrubbed_text").to_pylist()
+    counts, masked = P.toxicity_series(
+        [t if k else "" for t, k in zip(texts, keeps)]
     )
+    out_texts = [m if k else t for m, t, k in zip(masked, texts, keeps)]
+    batch = batch.drop_columns(["scrubbed_text"])
+    return batch.append_column(
+        "scrubbed_text", pa.array(out_texts, pa.string())
+    ).append_column("toxicity_hits", pa.array(counts, pa.int64()))
+
+
+def scrub_toxicity(filtered_ds, batch_size: int = 2048):
+    return filtered_ds.map_batches(
+        toxicity_stage, batch_format="pyarrow", batch_size=batch_size)
 
 
 # ------------------------------------------------------------------ pipeline
 
 
-def run_quality_filter(
-    ds,
-    *,
-    config: Optional[DQ.FilterConfig] = None,
-    langid_concurrency=(1, 8),
-    perplexity_concurrency=(1, 8),
-    score_concurrency=(1, 8),
-    batch_size: int = 2048,
-    fused: bool = False,
-    **map_batches_kwargs,
-):
-    """Build the lazy filter pipeline over a corpus Dataset (F1 schema).
+def filter_batch(batch: pa.Table,
+                 config: Optional[DQ.FilterConfig] = None) -> pa.Table:
+    return FusedFilterStage(config)(batch)
 
-    Returns the output Dataset (streaming; consume with write_parquet /
-    iter_batches). Actor pools autoscale within (min, max). ``fused=True``
-    runs the whole per-document path in one actor pool (sized by
-    ``score_concurrency``) — fastest; ``fused=False`` keeps the stages
-    separate so each pool can be sized independently (e.g. a GPU-bound
-    scorer pool smaller than the CPU-bound extract pool)."""
-    if fused:
-        return ds.map_batches(
-            FusedFilterStage, batch_format="pyarrow", batch_size=batch_size,
-            concurrency=score_concurrency,
-            fn_constructor_kwargs={"config": config},
-            **map_batches_kwargs,
-        )
-    out = ds.map_batches(extract_stage, batch_format="pyarrow", batch_size=batch_size,
-                         **map_batches_kwargs)
-    out = out.map_batches(
-        LangIdStage, batch_format="pyarrow", batch_size=batch_size,
-        concurrency=langid_concurrency, **map_batches_kwargs,
-    )
-    out = out.map_batches(
-        PerplexityStage, batch_format="pyarrow", batch_size=batch_size,
-        concurrency=perplexity_concurrency, **map_batches_kwargs,
-    )
-    out = out.map_batches(
-        ScoreScrubStage, batch_format="pyarrow", batch_size=batch_size,
-        concurrency=score_concurrency,
-        fn_constructor_kwargs={"config": config}, **map_batches_kwargs,
-    )
-    return out
+
+def run_quality_filter(ds, *, config: Optional[DQ.FilterConfig] = None,
+                       batch_size: int = 2048):
+    """The lazy filter pipeline over a corpus Dataset (F1 schema): one
+    stateless ``map_batches`` task per batch. Returns the output Dataset
+    (streaming; consume with write_parquet / iter_batches)."""
+    return ds.map_batches(filter_batch, batch_format="pyarrow",
+                          batch_size=batch_size, fn_kwargs={"config": config})
 
 
 def read_corpus(path: str, include_html: bool = True):

@@ -195,30 +195,21 @@ def char_classes(ds, text_col: str = "text", id_col: str = "doc_id"):
     )
 
 
-def langid_stage_factory():
-    from dataprof_ray.functions.docquality import LangIdModel
+def langid(ds):
+    """Language-ID over a documents table (stateless tasks; the model is
+    built once per worker process)."""
+    from dataprof_ray.functions.docquality import LangIdModel, shared_model
 
-    class LangIdOnly:
-        def __init__(self) -> None:
-            self.model = LangIdModel()
+    def stage(batch: pa.Table) -> pa.Table:
+        langs, confs = shared_model(LangIdModel).predict_batch(
+            batch.column("text").to_pylist())
+        return pa.table({
+            "doc_id": batch.column("doc_id"),
+            "langid": pa.array(langs, pa.string()),
+            "langid_conf": pa.array(confs, pa.float64()),
+        })
 
-        def __call__(self, batch: pa.Table) -> pa.Table:
-            texts = batch.column("text").to_pylist()
-            langs, confs = self.model.predict_batch(texts)
-            return pa.table({
-                "doc_id": batch.column("doc_id"),
-                "langid": pa.array(langs, pa.string()),
-                "langid_conf": pa.array(confs, pa.float64()),
-            })
-
-    return LangIdOnly
-
-
-def langid(ds, concurrency=(1, 8)):
-    """Language-ID over a documents table (actor pool holds the model)."""
-    return ds.map_batches(
-        langid_stage_factory(), batch_format="pyarrow", concurrency=concurrency
-    )
+    return ds.map_batches(stage, batch_format="pyarrow")
 
 
 def doc_quality(ds, id_col: str = "doc_id", text_col: str = "text"):

@@ -125,19 +125,17 @@ def run_resumable_filter(
     arguments skips completed shards. Returns a summary dict.
 
     ``max_concurrent_shards`` shard pipelines execute concurrently (driver
-    threads; Ray schedules their tasks onto one shared pool). Sequential
-    shard-at-a-time measured ~3.4k docs/s on 25k-doc shards at 32 cpus —
-    each small shard pays actor-pool ramp alone — vs 15.5k docs/s for one
-    big pipeline; overlapping shards recovers the gap whenever shards are
-    small relative to the cluster (measured 67.5s -> 29.1s on 200k docs /
-    8 shards at 32 cpus). Default: one concurrent shard per 8 cluster
-    CPUs, so tiny clusters (e.g. the 4-cpu test fixture) stay sequential
-    instead of starving each other's actor pools. Manifest writes are
-    lock-guarded and remain one-record-at-a-time atomic."""
+    threads; Ray schedules their tasks onto one shared pool), so shards
+    that are small relative to the cluster overlap instead of each
+    leaving it partly idle. Default: one concurrent shard per 8 cluster
+    CPUs (at least one). Manifest writes are lock-guarded and remain
+    one-record-at-a-time atomic."""
     import shutil
     import threading
     from concurrent.futures import ThreadPoolExecutor
 
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
     import ray.data as rd
 
     from dataprof_ray.functions import docquality as DQ
@@ -159,10 +157,14 @@ def run_resumable_filter(
         ds = rd.read_parquet(shard_path)
         filtered = QF.run_quality_filter(ds, config=config, batch_size=batch_size)
         filtered.write_parquet(tmp_dir)
-        # kept/rows from the written output (no second pass over input)
-        out_ds = rd.read_parquet(tmp_dir, columns=["keep"])
-        rows = out_ds.count()
-        kept = int(out_ds.sum("keep") or 0)
+        if not os.path.isdir(tmp_dir):  # Ray writes no file for zero rows
+            os.makedirs(tmp_dir)
+            pq.write_table(QF.OUTPUT_SCHEMA.empty_table(),
+                           os.path.join(tmp_dir, "empty.parquet"))
+        # rows/kept from the written output, read in the driver (no second
+        # Ray execution, no pass over the input)
+        keep = pq.read_table(tmp_dir, columns=["keep"]).column("keep")
+        rows, kept = len(keep), int(pc.sum(keep).as_py() or 0)
         if os.path.isdir(out_dir):
             shutil.rmtree(out_dir)
         os.replace(tmp_dir, out_dir)

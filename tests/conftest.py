@@ -4,6 +4,9 @@ import pytest
 
 os.environ.setdefault("RAY_DISABLE_IMPORT_WARNING", "1")
 
+# how long a finished test's CPUs may take to come back to the session
+CPU_RELEASE_TIMEOUT_S = 30
+
 
 @pytest.fixture(scope="session")
 def ray_session():
@@ -23,18 +26,36 @@ def ray_session():
 
 
 @pytest.fixture(autouse=True)
-def _reap_streaming_executors():
-    """Finalize dropped Datasets after every test. An early-stopped
-    execution (limit / take / partial iter_batches) keeps its streaming
-    executor — and its actor pool's CPUs — alive until the Dataset is
-    garbage-collected; on the 4-CPU test session one leftover 1-CPU
-    actor plus the next query's actor pools starves the read tasks into
-    a permanent 'waiting_for_remote_node_resources' deadlock (observed:
-    a lingering BruteForceScorer + the 3-pool unfused quality filter)."""
-    yield
+def _reap_streaming_executors(request):
+    """Finalize dropped Datasets after every test, then require every CPU
+    back. An early-stopped execution (limit / take / partial iter_batches)
+    keeps its streaming executor — and its actor pool's CPUs — alive until
+    the Dataset is garbage-collected; an actor killed while its creation
+    is still pending can keep its CPU for the rest of the session. Either
+    way the next query that needs the CPU would wait forever, so the test
+    that left a CPU held fails here, by name, instead. The CPUs free when
+    the test started are the target, so a leak fails only the test that
+    made it, not every test after it."""
     import gc
+    import time
 
+    import ray
+
+    free_before = (ray.available_resources().get("CPU", 0)
+                   if ray.is_initialized() else None)
+    yield
     gc.collect()
+    if not ray.is_initialized():
+        return
+    target = (ray.cluster_resources().get("CPU", 0) if free_before is None
+              else free_before)
+    deadline = time.monotonic() + CPU_RELEASE_TIMEOUT_S
+    while (free := ray.available_resources().get("CPU", 0)) < target:
+        if time.monotonic() > deadline:
+            pytest.fail(f"{request.node.nodeid} left {target - free:g} "
+                        f"CPUs held after {CPU_RELEASE_TIMEOUT_S} s",
+                        pytrace=False)
+        time.sleep(0.1)
 
 
 @pytest.fixture(scope="session")

@@ -22,7 +22,7 @@ def test_curate_end_to_end(ray_session, corpus_file, tmp_path):
     from dataprof_ray.pipelines.curate import curate_corpus
 
     out = curate_corpus(corpus_file, str(tmp_path / "out"),
-                        score_concurrency=(1, 2), batch_size=256)
+                        batch_size=256)
     dirs = sorted(d for d in os.listdir(out) if d.startswith("split="))
     assert dirs and all(d.split("=")[1] in {"train", "val", "test"}
                         for d in dirs)
@@ -38,7 +38,7 @@ def test_curate_end_to_end(ray_session, corpus_file, tmp_path):
     assert back.url.is_unique
     # deterministic: a second run exports the identical id -> split map
     out2 = curate_corpus(corpus_file, str(tmp_path / "out2"),
-                         score_concurrency=(1, 2), batch_size=256)
+                         batch_size=256)
     back2 = rd.read_parquet(out2).to_pandas()
     a = back.sort_values("url").reset_index(drop=True)
     b = back2.sort_values("url").reset_index(drop=True)
@@ -53,11 +53,11 @@ def test_curate_with_mixture(ray_session, corpus_file, tmp_path):
     from dataprof_ray.pipelines.curate import curate_corpus
 
     full = curate_corpus(corpus_file, str(tmp_path / "full"),
-                         score_concurrency=(1, 2), batch_size=256)
+                         batch_size=256)
     n_full = rd.read_parquet(full).count()
     mixed = curate_corpus(corpus_file, str(tmp_path / "mixed"),
                           mixture_rates={"__no_such_host__": 1.0},
-                          score_concurrency=(1, 2), batch_size=256)
+                          batch_size=256)
     # default_rate=1.0 keeps unknown hosts: same row count as full
     assert rd.read_parquet(mixed).count() == n_full
 
@@ -73,7 +73,7 @@ def test_curate_with_hygiene_steps(ray_session, corpus_file, tmp_path):
 
     base = rd.read_parquet(
         curate_corpus(corpus_file, str(tmp_path / "base"),
-                      score_concurrency=(1, 2), batch_size=256)).to_pandas()
+                      batch_size=256)).to_pandas()
     assert len(base) > 20
     # benchmark = the scrubbed text of 5 exported docs; prior = 5 others
     bench_rows = base.sort_values("url").head(5)
@@ -83,7 +83,7 @@ def test_curate_with_hygiene_steps(ray_session, corpus_file, tmp_path):
         "url": pa.array("p-" + prior_rows["url"]),
         "text": pa.array(prior_rows["text"])}))
     out = rd.read_parquet(curate_corpus(
-        corpus_file, str(tmp_path / "hyg"), score_concurrency=(1, 2),
+        corpus_file, str(tmp_path / "hyg"),
         batch_size=256, benchmark_ds=bench_ds, prior_ds=prior_ds,
         decontam_max_frac=0.0)).to_pandas()
     # every benchmark-sourced and prior-sourced doc is gone

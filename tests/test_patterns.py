@@ -1,6 +1,8 @@
 """Pattern detection parity — cases ported from the reference's tests
 (patterns.rs:711-1650, validators.rs:268-433)."""
 
+import pytest
+
 from dataprof_ray.functions import patterns as P
 
 
@@ -160,6 +162,32 @@ class TestScrub:
         out, n = P.scrub_text("pay GB82WEST12345698765432 ssn 123-45-6789 end")
         assert "<IBAN>" in out and "<SSN>" in out
         assert n == 2
+
+    def test_scrub_card_right_after_ssn(self):
+        # the SSN's last group plus the card's first three groups form a
+        # Luhn-failing card candidate; it must not hide the real card
+        out, n = P.scrub_text("a 580-36-3894 4394 1443 0742 9110 b")
+        assert (out, n) == ("a <SSN> <CREDIT_CARD> b", 2)
+
+    def test_scrub_card_overlapping_rejected_candidate(self):
+        assert not P.validate_credit_card("1234 4394 1443 0742")
+        out, n = P.scrub_text("x 1234 4394 1443 0742 9110 y")
+        assert (out, n) == ("x 1234 <CREDIT_CARD> y", 1)
+
+    @pytest.mark.parametrize("name,rejected,valid", [
+        ("IBAN", "DE89370400440532013001", "GB82WEST12345698765432"),
+        ("CODICE_FISCALE", "RSSMRA85M01H501A", "RSSMRA85M01H501Q"),
+        ("CREDIT_CARD", "4532015112830367", "4532015112830366"),
+        ("SSN", "000-12-3456", "123-45-6789"),
+    ])
+    def test_scrub_rejected_candidate_next_to_valid(self, name, rejected,
+                                                    valid):
+        validator = {n: v for n, _rx, _c, v in P.SCRUB_DEFS}[name]
+        assert not validator(rejected) and validator(valid)
+        assert P.scrub_text(f"x {rejected} {valid} y") == (
+            f"x {rejected} <{name}> y", 1)
+        assert P.scrub_text(f"x {valid} {rejected} y") == (
+            f"x <{name}> {rejected} y", 1)
 
     def test_scrub_idempotent_on_clean(self):
         text = "perfectly clean prose with no identifiers at all"

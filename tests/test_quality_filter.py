@@ -194,9 +194,8 @@ class TestToxicity:
 
         from dataprof_ray.pipelines import quality_filter as QF
 
-        filtered = QF.run_quality_filter(rd.from_arrow(corpus), fused=True,
-                                         score_concurrency=(1, 2))
-        out = QF.scrub_toxicity(filtered, concurrency=(1, 2)).to_pandas()
+        filtered = QF.run_quality_filter(rd.from_arrow(corpus))
+        out = QF.scrub_toxicity(filtered).to_pandas()
         assert "toxicity_hits" in out.columns
         dropped = out[~out.keep]
         assert (dropped.scrubbed_text == "").all()  # untouched
@@ -338,3 +337,56 @@ def test_jobs_cli_standalone_subprocess(tmp_path):
     assert proc.returncode == 0, proc.stderr[-2000:]
     stats = json.loads(proc.stdout.strip().splitlines()[-1])
     assert stats["shards_processed"] == 1
+
+
+_ONE_CPU_JOB = """
+import json, os, sys
+import pyarrow.parquet as pq
+import ray
+from dataprof_ray import jobs
+from dataprof_ray.state.lineage import LineageManifest
+
+ray.init(num_cpus=1, include_dashboard=False, logging_level="ERROR")
+corpus, out = sys.argv[1], sys.argv[2]
+stats = jobs.main(["--input", corpus, "--output", out])
+recs = LineageManifest(stats["manifest"]).records.values()
+got = {r.shard_id: [r.rows, r.kept] for r in recs}
+want = {}
+for r in recs:
+    keep = pq.read_table(r.output_dir, columns=["keep"]).column("keep")
+    want[r.shard_id] = [len(keep), sum(keep.to_pylist())]
+ray.shutdown()
+print(json.dumps({"stats": stats, "got": got, "want": want}))
+"""
+
+
+def test_jobs_main_on_one_cpu_session(tmp_path):
+    """The job finishes on a 1-CPU Ray session (the filter holds no CPU
+    between batches), and each manifest record's rows/kept equal a
+    pyarrow re-read of that shard's output. Runs in its own process
+    group, killed whole on timeout."""
+    import json
+    import os
+    import signal
+    import subprocess
+    import sys
+
+    corpus = write_corpus_parquet(str(tmp_path / "in"), 2000, shards=2)
+    out = str(tmp_path / "out")
+    env = {k: v for k, v in os.environ.items() if k != "RAY_ADDRESS"}
+    proc = subprocess.Popen(
+        [sys.executable, "-c", _ONE_CPU_JOB, corpus, out],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env,
+        start_new_session=True,
+        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+    try:
+        stdout, stderr = proc.communicate(timeout=180)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        pytest.fail("jobs.main did not finish on a 1-CPU session in 180 s")
+    assert proc.returncode == 0, stderr[-2000:]
+    res = json.loads(stdout.strip().splitlines()[-1])
+    assert res["stats"]["shards_processed"] == 2
+    assert len(res["got"]) == 2 and res["got"] == res["want"]
+    assert all(0 < kept < rows for rows, kept in res["got"].values())

@@ -303,3 +303,47 @@ def test_robust_outlier_stats_matches_numpy(ray_session):
     assert abs(r["median"] - med) < 1e-3 and abs(r["mad"] - mad) < 1e-3
     assert r["n_outliers"] == int(((v < lo) | (v > hi)).sum())
     assert r["n_outliers"] >= 35  # the planted cluster is caught
+
+
+@pytest.mark.parametrize("mode,clause", [("rollup", "ROLLUP(k1, k2)"),
+                                         ("cube", "CUBE(k1, k2)")])
+def test_rollup_all_null_sum_group_is_null(ray_session, mode, clause):
+    """SQL SUM over only NULLs is NULL at every level, not 0.0: k1 = 'b'
+    has only NULL values; its count still folds to the row count."""
+    df = pd.DataFrame({
+        "k1": ["a", "a", "b", "b", "c"],
+        "k2": ["x", "y", "x", "y", "x"],
+        "val": pd.array([1.5, 2.0, None, None, 4.0], dtype="Float64"),
+    })
+    ours = rollup_aggregate(_mk(ray_session, df), ["k1", "k2"], SPECS,
+                            mode=mode)
+    oracle = _duck(df, f"SELECT k1, k2, {SQL_AGGS} FROM t GROUP BY {clause}")
+    a, b = _norm(ours), _norm(oracle)
+    pd.testing.assert_frame_equal(
+        a[sorted(a.columns)], b[sorted(b.columns)],
+        check_dtype=False, check_exact=False, rtol=1e-12)
+    b_total = ours[(ours["k1"] == "b") & (ours["grouping_id"] == 1)].iloc[0]
+    assert pd.isna(b_total["s"]) and b_total["cnt"] == 2
+
+
+def test_winsorized_and_robust_stats_zero_rows(ray_session, tmp_path):
+    """Zero-row input gives the typed n = 0 frame, one row per column."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray.data as rd
+
+    from dataprof_ray.pipelines.aggregate import (robust_outlier_stats,
+                                                  winsorized_stats)
+
+    path = str(tmp_path / "zero.parquet")
+    pq.write_table(pa.table({"v": pa.array([], pa.float64()),
+                             "w": pa.array([], pa.int64())}), path)
+    win = winsorized_stats(rd.read_parquet(path), ["v", "w"])
+    rob = robust_outlier_stats(rd.read_parquet(path), ["v", "w"])
+    for out, stats in [(win, ["lo_cut", "hi_cut", "mean_winsorized"]),
+                       (rob, ["median", "mad", "lo_fence", "hi_fence"])]:
+        assert out["column_name"].tolist() == ["v", "w"]
+        assert out["n"].dtype == np.int64 and (out["n"] == 0).all()
+        assert out[stats].isna().all().all()
+    assert rob["n_outliers"].dtype == np.int64
+    assert (rob["n_outliers"] == 0).all()

@@ -294,6 +294,23 @@ class TestLineage:
         s3 = run_resumable_filter(shards, out_root, batch_size=128)
         assert s3["shards_processed"] == 0 and s3["shards_skipped"] == 3
 
+    def test_zero_row_shard_gets_typed_empty_output(self, ray_session,
+                                                   tmp_path):
+        import pyarrow.parquet as pq
+
+        from dataprof_ray.pipelines import quality_filter as QF
+        from dataprof_ray.sources.corpus import generate_corpus
+        from dataprof_ray.state.lineage import (LineageManifest,
+                                                run_resumable_filter)
+
+        shard = str(tmp_path / "empty.parquet")
+        pq.write_table(generate_corpus(5, seed=1).slice(0, 0), shard)
+        s = run_resumable_filter([shard], str(tmp_path / "out"))
+        assert s["shards_processed"] == 1
+        rec = LineageManifest(s["manifest"]).records["empty.parquet"]
+        assert (rec.rows, rec.kept) == (0, 0)
+        assert pq.read_table(rec.output_dir).schema.equals(QF.OUTPUT_SCHEMA)
+
 
 class TestQuantization:
     def test_roundtrip_error_bounded(self, ray_session):
