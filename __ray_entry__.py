@@ -2729,10 +2729,10 @@ def oracle_sql() -> dict[str, str]:
         ),
         "token_budget_by_source": (
             "SELECT source, COUNT(*) AS n_docs, "
-            "SUM(CASE WHEN TRIM(text, ' \t\n\r') = '' THEN 0 "
+            "CAST(SUM(CASE WHEN TRIM(text, ' \t\n\r') = '' THEN 0 "
             "ELSE LEN(REGEXP_SPLIT_TO_ARRAY(TRIM(text, ' \t\n\r'), '\\s+')) END"
-            ") AS sum_tokens, "
-            "SUM(LENGTH(text)) AS sum_chars "
+            ") AS BIGINT) AS sum_tokens, "
+            "CAST(SUM(LENGTH(text)) AS BIGINT) AS sum_chars "
             "FROM documents GROUP BY source"
         ),
         "pack_sequences_documents": (

@@ -57,7 +57,7 @@ def run_quality_filter(corpus_dir: str) -> tuple[int, float]:
 
     ds = QF.read_corpus(corpus_dir)
     t0 = time.perf_counter()
-    rows = QF.run_quality_filter(ds, batch_size=1024).count()
+    rows = QF.run_quality_filter(ds).count()
     return rows, time.perf_counter() - t0
 
 

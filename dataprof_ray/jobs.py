@@ -7,12 +7,15 @@ The north-rule launch shape: the whole 10^12-document job starts with
 
 on the fixed-size cluster (the driver owns ``ray.init`` only when run
 standalone — inside ``ray job submit`` the session already exists, hence
-the ``is_initialized`` guard). The run is RESUMABLE: every input shard
-checkpoints one manifest record (shard id, row count, model/rule
-versions — ``state/lineage.py``), so rerunning the identical command
-after a failure skips finished shards and reprocesses only the rest.
-Output is partitioned one directory per input shard — never one giant
-file — so downstream consumers and retries address work by shard.
+the ``is_initialized`` guard). The pending shards run as one Ray Data
+execution per 64 of them (``lineage.SHARDS_PER_EXECUTION``), one filter
+task per read block, with no concurrency or batch-size knob. The run is
+RESUMABLE: every input shard checkpoints one manifest record (shard id,
+row count, model/rule versions — ``state/lineage.py``), so rerunning the
+identical command after a failure skips finished shards and reprocesses
+only the rest. Output is partitioned one directory per input shard —
+never one giant file — so downstream consumers and retries address work
+by shard.
 """
 
 from __future__ import annotations
@@ -35,11 +38,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="output root; one subdirectory per input shard")
     p.add_argument("--manifest", default=None,
                    help="lineage manifest path "
-                        "(default: <output>/manifest.jsonl)")
-    p.add_argument("--batch-size", type=int, default=2048)
-    p.add_argument("--max-concurrent-shards", type=int, default=None,
-                   help="cap on shards in flight (default: one per 8 "
-                        "cluster CPUs, at least one)")
+                        "(default: <output>/_manifest.jsonl)")
     return p
 
 
@@ -63,10 +62,8 @@ def main(argv=None) -> dict:
             if f.endswith(".parquet"))
         if not shards:
             raise SystemExit(f"no parquet shards under {args.input}")
-        stats = run_resumable_filter(
-            shards, args.output, manifest_path=args.manifest,
-            batch_size=args.batch_size,
-            max_concurrent_shards=args.max_concurrent_shards)
+        stats = run_resumable_filter(shards, args.output,
+                                     manifest_path=args.manifest)
         print(json.dumps(stats))
         return stats
     finally:

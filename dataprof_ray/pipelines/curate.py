@@ -36,7 +36,6 @@ def curate_corpus(
     decontam_n: int = 8,
     decontam_max_frac: float = 0.05,
     prior_ds=None,
-    batch_size: int = 2048,
 ) -> str:
     """Run the full curation pipeline and write hive-partitioned Parquet
     (``out_dir/split=train/...``). Returns ``out_dir``.
@@ -59,7 +58,7 @@ def curate_corpus(
 
     ds = (corpus_path if hasattr(corpus_path, "map_batches")
           else read_corpus(corpus_path))
-    filtered = run_quality_filter(ds, config=config, batch_size=batch_size)
+    filtered = run_quality_filter(ds, config=config)
 
     def kept_only(batch: pa.Table) -> pa.Table:
         keep = pc.fill_null(batch.column("keep"), False)

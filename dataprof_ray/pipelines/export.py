@@ -10,10 +10,11 @@ export NEVER moves an example between train and eval.
 Failure/resume semantics: the default ``mode="overwrite"`` makes a full
 re-run IDEMPOTENT (it deletes out_dir's data first — a half-written
 previous attempt can't leak stale files into the result) but is NOT an
-incremental resume. For restartable shard-at-a-time 10^12-doc runs,
-drive this writer per input shard under ``state.lineage``'s manifest
-(`run_resumable_filter`'s pattern): one out_dir per shard, manifest
-records completion, and only missing shards re-export.
+incremental resume. For restartable 10^12-doc runs, follow
+`run_resumable_filter`'s pattern under ``state.lineage``'s manifest: one
+execution over the pending shards, written with ``partition_cols`` on a
+per-shard key into a scratch root, then each shard's directory moved into
+place and committed to the manifest, so only missing shards re-export.
 """
 
 from __future__ import annotations

@@ -7,10 +7,15 @@
 
 Scale notes (100 TB design):
 - One shape: the whole per-document pass is one stateless ``map_batches``
-  task, so a batch crosses the object store once between read and output.
-  The models are read-only and built once per worker process
-  (``DQ.shared_model``), so no actor pool holds them, or a CPU between
-  batches.
+  task per read block, so the filter's parallelism is the read's block
+  count and a block crosses the object store once between read and
+  output. There is no per-batch setup to amortize: the models are
+  read-only and built once per worker process (``DQ.shared_model``), so no
+  actor pool holds them, or a CPU between blocks, and ``FusedFilterStage``
+  builds in well under a millisecond.
+- The resumable job (``state/lineage.py``) runs all pending shards as one
+  execution: the read's ``path`` column rides through ``filter_batch`` and
+  the write partitions by it, one output directory per input shard.
 - ``html`` (the wide binary column) is consumed by extraction and never
   reaches the output.
 - No shuffle anywhere in the keep/scrub path — it is embarrassingly parallel.
@@ -215,16 +220,20 @@ def scrub_toxicity(filtered_ds, batch_size: int = 2048):
 
 def filter_batch(batch: pa.Table,
                  config: Optional[DQ.FilterConfig] = None) -> pa.Table:
-    return FusedFilterStage(config)(batch)
+    """``FusedFilterStage`` over one batch. A ``path`` column (from
+    ``read_parquet(..., include_paths=True)``) rides along, last."""
+    out = FusedFilterStage(config)(batch)
+    if "path" in batch.column_names:
+        out = out.append_column("path", batch.column("path"))
+    return out
 
 
-def run_quality_filter(ds, *, config: Optional[DQ.FilterConfig] = None,
-                       batch_size: int = 2048):
+def run_quality_filter(ds, *, config: Optional[DQ.FilterConfig] = None):
     """The lazy filter pipeline over a corpus Dataset (F1 schema): one
-    stateless ``map_batches`` task per batch. Returns the output Dataset
+    stateless ``map_batches`` task per block. Returns the output Dataset
     (streaming; consume with write_parquet / iter_batches)."""
     return ds.map_batches(filter_batch, batch_format="pyarrow",
-                          batch_size=batch_size, fn_kwargs={"config": config})
+                          batch_size=None, fn_kwargs={"config": config})
 
 
 def read_corpus(path: str, include_html: bool = True):

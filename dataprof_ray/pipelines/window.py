@@ -348,10 +348,6 @@ def lag_delta(ds, ts_col: str, key: str, order_extra: Sequence[str] = (),
     hash(key) partitions, one sort + one vectorized groupby-shift per
     partition; output rides the partition. Integer microseconds (not
     float seconds) keep the gap exact and oracle-matchable."""
-    from dataprof_ray.pipelines.partitioning import (DEFAULT_PARTITIONS,
-                                                     add_part_column,
-                                                     nullable_cogroup)
-
     return _shift_delta(ds, ts_col, key, order_extra, partitions,
                         shift=1, out_col="prev_ts")
 

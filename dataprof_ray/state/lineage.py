@@ -8,17 +8,22 @@ and processes only shards that are missing or whose versions changed —
 
 The manifest generalizes the reference's ExecutionMetadata accounting record
 (/root/reference/crates/dataprof-core/src/execution.rs:20-88) from one run
-to one record per partition. Writes are atomic (temp file + rename).
+to one record per partition. It is append-only: each commit appends one
+fsync'd JSON line and the last record of a shard wins. A torn last line
+(an append cut short by a crash, so it has no newline) is ignored, and
+its shard counts as not done.
 """
 
 from __future__ import annotations
 
 import json
 import os
-import tempfile
 import time
 from dataclasses import asdict, dataclass, field
 from typing import Optional
+
+# pending shards per Ray Data execution: a crash redoes at most this many
+SHARDS_PER_EXECUTION = 64
 
 
 @dataclass
@@ -37,13 +42,19 @@ class LineageManifest:
     def __init__(self, path: str) -> None:
         self.path = path
         self.records: dict[str, PartitionRecord] = {}
+        self._valid_bytes: Optional[int] = None  # set when the tail is torn
         if os.path.exists(path):
-            with open(path) as f:
-                for line in f:
-                    line = line.strip()
-                    if line:
-                        rec = PartitionRecord(**json.loads(line))
-                        self.records[rec.shard_id] = rec
+            with open(path, "rb") as f:
+                data = f.read()
+            # an append writes its newline last, so only the bytes after the
+            # final newline can be a torn record
+            *lines, tail = data.split(b"\n")
+            if tail:
+                self._valid_bytes = len(data) - len(tail)
+            for line in lines:
+                if line.strip():
+                    rec = PartitionRecord(**json.loads(line))
+                    self.records[rec.shard_id] = rec
 
     def is_complete(self, shard_id: str, extraction_version: str, rules_version: str) -> bool:
         rec = self.records.get(shard_id)
@@ -55,16 +66,16 @@ class LineageManifest:
         )
 
     def mark_complete(self, record: PartitionRecord) -> None:
-        self.records[record.shard_id] = record
-        self._flush()
-
-    def _flush(self) -> None:
+        """Append one record and fsync it: the commit point of its shard."""
         os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(self.path) or ".")
-        with os.fdopen(fd, "w") as f:
-            for rec in self.records.values():
-                f.write(json.dumps(asdict(rec)) + "\n")
-        os.replace(tmp, self.path)  # atomic
+        if self._valid_bytes is not None:  # drop the torn tail first
+            os.truncate(self.path, self._valid_bytes)
+            self._valid_bytes = None
+        with open(self.path, "a") as f:
+            f.write(json.dumps(asdict(record)) + "\n")
+            f.flush()
+            os.fsync(f.fileno())
+        self.records[record.shard_id] = record
 
     def pending_shards(self, shard_paths: list[str], extraction_version: str,
                        rules_version: str) -> list[str]:
@@ -74,40 +85,15 @@ class LineageManifest:
         ]
 
 
-def _ensure_thread_safe_fsspec_http() -> None:
-    """Make Ray's per-path `from fsspec.implementations.http import
-    HTTPFileSystem` probe deterministic under concurrent driver threads.
+def _path_to_shard_id(batch):
+    """Cut the read's ``path`` column to the file name (the shard id), so
+    the write's partition directories stay short whatever the input's
+    directory."""
+    import pyarrow.compute as pc
 
-    Ray retries that import on EVERY read/write path resolution and catches
-    only ModuleNotFoundError. When aiohttp is absent the import always
-    fails — and two threads racing through it can observe a
-    partially-initialized module, which surfaces as a plain ImportError
-    that Ray does not catch (observed: concurrent write_parquet from
-    ThreadPoolExecutor). If and only if the real import can never succeed,
-    install a stub exposing a sentinel HTTPFileSystem class: the import
-    becomes thread-safe, and isinstance() against the sentinel is always
-    False — exactly the "not an HTTP filesystem" answer for local/S3 paths.
-    """
-    import sys
-    import types
-
-    try:
-        import fsspec.implementations.http  # noqa: F401
-        return
-    except ModuleNotFoundError:
-        pass  # aiohttp (or fsspec itself) absent: import can never succeed
-    except ImportError:
-        return  # lost a concurrent-import race; the winner installs/raises
-    if "fsspec" not in sys.modules:
-        return  # no fsspec at all: Ray's ModuleNotFoundError handling is fine
-
-    stub = types.ModuleType("fsspec.implementations.http")
-
-    class HTTPFileSystem:  # sentinel; never instantiated for local paths
-        pass
-
-    stub.HTTPFileSystem = HTTPFileSystem
-    sys.modules["fsspec.implementations.http"] = stub
+    i = batch.schema.get_field_index("path")
+    return batch.set_column(i, "path", pc.replace_substring_regex(
+        batch.column(i), r"^.*/", ""))
 
 
 def run_resumable_filter(
@@ -115,24 +101,22 @@ def run_resumable_filter(
     output_root: str,
     manifest_path: Optional[str] = None,
     config=None,
-    batch_size: int = 2048,
-    max_concurrent_shards: Optional[int] = None,
 ) -> dict:
-    """Resumable quality-filter run, one manifest record per input shard.
+    """Resumable quality-filter run, one output directory and one manifest
+    record per input shard. Returns a summary dict.
 
-    Each input shard becomes one output directory (atomic: temp dir +
-    rename) and one manifest record. A crashed run re-invoked with the same
-    arguments skips completed shards. Returns a summary dict.
-
-    ``max_concurrent_shards`` shard pipelines execute concurrently (driver
-    threads; Ray schedules their tasks onto one shared pool), so shards
-    that are small relative to the cluster overlap instead of each
-    leaving it partly idle. Default: one concurrent shard per 8 cluster
-    CPUs (at least one). Manifest writes are lock-guarded and remain
-    one-record-at-a-time atomic."""
+    The pending shards run as one Ray Data execution per chunk of at most
+    ``SHARDS_PER_EXECUTION``: ``read_parquet(chunk, include_paths=True)``
+    -> ``run_quality_filter`` (one task per read block; blocks of every
+    shard in the chunk share the cluster) -> one ``write_parquet``
+    partitioned by ``path`` (cut to the shard id) into
+    ``<output_root>/_inflight``. Then the driver moves each shard's
+    directory into place and appends its manifest record, one shard at a
+    time. A crash rebuilds every shard of the chunk in flight that has no
+    record yet; committed shards are skipped by the next run with the same
+    arguments."""
     import shutil
-    import threading
-    from concurrent.futures import ThreadPoolExecutor
+    from urllib.parse import unquote
 
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
@@ -141,61 +125,51 @@ def run_resumable_filter(
     from dataprof_ray.functions import docquality as DQ
     from dataprof_ray.pipelines import quality_filter as QF
 
-    _ensure_thread_safe_fsspec_http()
     manifest = LineageManifest(manifest_path or os.path.join(output_root, "_manifest.jsonl"))
     pending = manifest.pending_shards(input_shards, DQ.EXTRACTION_VERSION, DQ.RULES_VERSION)
-    skipped = len(input_shards) - len(pending)
-    lock = threading.Lock()
+    inflight = os.path.join(output_root, "_inflight")
 
-    def process(shard_path: str) -> None:
-        shard_id = os.path.basename(shard_path)
-        out_dir = os.path.join(output_root, shard_id.replace(".parquet", ""))
-        tmp_dir = out_dir + ".tmp"
-        if os.path.isdir(tmp_dir):
-            shutil.rmtree(tmp_dir)
+    for start in range(0, len(pending), SHARDS_PER_EXECUTION):
+        chunk = pending[start:start + SHARDS_PER_EXECUTION]
+        shutil.rmtree(inflight, ignore_errors=True)
+        ds = rd.read_parquet(chunk, include_paths=True).map_batches(
+            _path_to_shard_id, batch_format="pyarrow", batch_size=None)
+        QF.run_quality_filter(ds, config=config).write_parquet(
+            inflight, partition_cols=["path"])
+        written = {}  # shard_id -> its hive directory ("path=<quoted id>")
+        if os.path.isdir(inflight):
+            for name in os.listdir(inflight):
+                written[unquote(name.split("=", 1)[1])] = os.path.join(inflight, name)
 
-        ds = rd.read_parquet(shard_path)
-        filtered = QF.run_quality_filter(ds, config=config, batch_size=batch_size)
-        filtered.write_parquet(tmp_dir)
-        if not os.path.isdir(tmp_dir):  # Ray writes no file for zero rows
-            os.makedirs(tmp_dir)
-            pq.write_table(QF.OUTPUT_SCHEMA.empty_table(),
-                           os.path.join(tmp_dir, "empty.parquet"))
-        # rows/kept from the written output, read in the driver (no second
-        # Ray execution, no pass over the input)
-        keep = pq.read_table(tmp_dir, columns=["keep"]).column("keep")
-        rows, kept = len(keep), int(pc.sum(keep).as_py() or 0)
-        if os.path.isdir(out_dir):
-            shutil.rmtree(out_dir)
-        os.replace(tmp_dir, out_dir)
-        with lock:
+        for shard_path in chunk:
+            shard_id = os.path.basename(shard_path)
+            out_dir = os.path.join(output_root, shard_id.replace(".parquet", ""))
+            src = written.get(shard_id)
+            if src is None:  # Ray writes no file for a zero-row shard
+                src = os.path.join(inflight, shard_id + ".empty")
+                os.makedirs(src)
+                pq.write_table(QF.OUTPUT_SCHEMA.empty_table(),
+                               os.path.join(src, "empty.parquet"))
+            if os.path.isdir(out_dir):
+                shutil.rmtree(out_dir)
+            os.replace(src, out_dir)
+            # rows/kept from the written output, read in the driver (no
+            # second Ray execution, no pass over the input)
+            keep = pq.read_table(out_dir, columns=["keep"]).column("keep")
             manifest.mark_complete(PartitionRecord(
                 shard_id=shard_id,
                 input_path=shard_path,
-                rows=rows,
-                kept=kept,
+                rows=len(keep),
+                kept=int(pc.sum(keep).as_py() or 0),
                 output_dir=out_dir,
                 extraction_version=DQ.EXTRACTION_VERSION,
                 rules_version=DQ.RULES_VERSION,
             ))
-
-    if max_concurrent_shards is None:
-        import ray
-        cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-        max_concurrent_shards = max(1, cpus // 8)
-    workers = max(1, min(max_concurrent_shards, len(pending) or 1))
-    if workers == 1:
-        for shard_path in pending:
-            process(shard_path)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            # list() re-raises the first worker exception (fail loudly;
-            # completed shards stay checkpointed for the next run)
-            list(pool.map(process, pending))
+        shutil.rmtree(inflight, ignore_errors=True)
 
     return {
         "shards_total": len(input_shards),
         "shards_processed": len(pending),
-        "shards_skipped": skipped,
+        "shards_skipped": len(input_shards) - len(pending),
         "manifest": manifest.path,
     }

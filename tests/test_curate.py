@@ -21,8 +21,7 @@ def test_curate_end_to_end(ray_session, corpus_file, tmp_path):
 
     from dataprof_ray.pipelines.curate import curate_corpus
 
-    out = curate_corpus(corpus_file, str(tmp_path / "out"),
-                        batch_size=256)
+    out = curate_corpus(corpus_file, str(tmp_path / "out"))
     dirs = sorted(d for d in os.listdir(out) if d.startswith("split="))
     assert dirs and all(d.split("=")[1] in {"train", "val", "test"}
                         for d in dirs)
@@ -37,8 +36,7 @@ def test_curate_end_to_end(ray_session, corpus_file, tmp_path):
     # urls unique after dedup
     assert back.url.is_unique
     # deterministic: a second run exports the identical id -> split map
-    out2 = curate_corpus(corpus_file, str(tmp_path / "out2"),
-                         batch_size=256)
+    out2 = curate_corpus(corpus_file, str(tmp_path / "out2"))
     back2 = rd.read_parquet(out2).to_pandas()
     a = back.sort_values("url").reset_index(drop=True)
     b = back2.sort_values("url").reset_index(drop=True)
@@ -52,12 +50,10 @@ def test_curate_with_mixture(ray_session, corpus_file, tmp_path):
 
     from dataprof_ray.pipelines.curate import curate_corpus
 
-    full = curate_corpus(corpus_file, str(tmp_path / "full"),
-                         batch_size=256)
+    full = curate_corpus(corpus_file, str(tmp_path / "full"))
     n_full = rd.read_parquet(full).count()
     mixed = curate_corpus(corpus_file, str(tmp_path / "mixed"),
-                          mixture_rates={"__no_such_host__": 1.0},
-                          batch_size=256)
+                          mixture_rates={"__no_such_host__": 1.0})
     # default_rate=1.0 keeps unknown hosts: same row count as full
     assert rd.read_parquet(mixed).count() == n_full
 
@@ -72,8 +68,7 @@ def test_curate_with_hygiene_steps(ray_session, corpus_file, tmp_path):
     from dataprof_ray.pipelines.curate import curate_corpus
 
     base = rd.read_parquet(
-        curate_corpus(corpus_file, str(tmp_path / "base"),
-                      batch_size=256)).to_pandas()
+        curate_corpus(corpus_file, str(tmp_path / "base"))).to_pandas()
     assert len(base) > 20
     # benchmark = the scrubbed text of 5 exported docs; prior = 5 others
     bench_rows = base.sort_values("url").head(5)
@@ -84,7 +79,7 @@ def test_curate_with_hygiene_steps(ray_session, corpus_file, tmp_path):
         "text": pa.array(prior_rows["text"])}))
     out = rd.read_parquet(curate_corpus(
         corpus_file, str(tmp_path / "hyg"),
-        batch_size=256, benchmark_ds=bench_ds, prior_ds=prior_ds,
+        benchmark_ds=bench_ds, prior_ds=prior_ds,
         decontam_max_frac=0.0)).to_pandas()
     # every benchmark-sourced and prior-sourced doc is gone
     assert not set(bench_rows["url"]) & set(out["url"])

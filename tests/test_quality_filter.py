@@ -100,7 +100,7 @@ class TestPipelineParity:
         import ray.data as rd
 
         ds = rd.from_arrow(corpus).repartition(6)
-        out = QF.run_quality_filter(ds, batch_size=256)
+        out = QF.run_quality_filter(ds)
         result = out.to_pandas().sort_values("url").reset_index(drop=True)
         expected = oracle_out.to_pandas().sort_values("url").reset_index(drop=True)
 
@@ -302,16 +302,70 @@ def test_jobs_cli_resumable(ray_session, tmp_path):
 
     corpus = write_corpus_parquet(str(tmp_path / "in"), 200, shards=2)
     out = str(tmp_path / "out")
-    s1 = jobs.main(["--input", corpus, "--output", out,
-                    "--batch-size", "128"])
+    s1 = jobs.main(["--input", corpus, "--output", out])
     assert s1["shards_processed"] == 2 and s1["shards_skipped"] == 0
     assert ray.is_initialized()  # did not tear down the session it found
-    s2 = jobs.main(["--input", corpus, "--output", out,
-                    "--batch-size", "128"])
+    s2 = jobs.main(["--input", corpus, "--output", out])
     assert s2["shards_processed"] == 0 and s2["shards_skipped"] == 2
     import pytest
     with pytest.raises(SystemExit):
         jobs.main(["--input", str(tmp_path), "--output", out])
+
+
+def test_jobs_main_one_execution_routes_shards(ray_session, tmp_path,
+                                              monkeypatch):
+    """One jobs.main call runs every pending shard as ONE Ray Data
+    execution with no shuffle, and the partitioned write routes each row
+    back to its own shard: every output directory holds exactly its input
+    shard's urls, each once, in files of exactly OUTPUT_SCHEMA. Each shard
+    reads as several blocks, so several filter tasks write into every
+    directory; a zero-row shard in the same execution gets its typed
+    empty file."""
+    import os
+    from collections import Counter
+
+    import pyarrow.parquet as pq
+    from ray.data._internal.execution.streaming_executor import (
+        StreamingExecutor)
+
+    from dataprof_ray import jobs
+    from dataprof_ray.state.lineage import LineageManifest
+
+    corpus = write_corpus_parquet(str(tmp_path / "in"), 900, shards=3)
+    pq.write_table(generate_corpus(5, seed=1).slice(0, 0),
+                   os.path.join(corpus, "shard_99999.parquet"))
+    executions = []
+    orig = StreamingExecutor.execute
+
+    def counted(executor, dag, *args, **kwargs):
+        executions.append(dag)
+        return orig(executor, dag, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counted)
+    stats = jobs.main(["--input", corpus, "--output", str(tmp_path / "out")])
+    assert stats["shards_processed"] == 4
+    assert len(executions) == 1
+    from ray.data._internal.execution.operators.base_physical_operator import (
+        AllToAllOperator)
+    stack = [executions[0]]
+    while stack:
+        op = stack.pop()
+        assert not isinstance(op, AllToAllOperator), op.name
+        stack.extend(op.input_dependencies)
+
+    recs = LineageManifest(stats["manifest"]).records
+    assert len(recs) == 4
+    for shard_id, rec in recs.items():
+        want = pq.read_table(os.path.join(corpus, shard_id),
+                             columns=["url"]).column("url").to_pylist()
+        files = os.listdir(rec.output_dir)
+        got = pq.read_table(rec.output_dir)
+        assert got.schema.equals(QF.OUTPUT_SCHEMA)
+        assert Counter(got.column("url").to_pylist()) == Counter(want)
+        assert len(set(want)) == len(want) == rec.rows
+        if want:
+            assert len(files) > 1, files  # several blocks, several tasks
+    assert recs["shard_99999.parquet"].rows == 0
 
 
 def test_jobs_cli_standalone_subprocess(tmp_path):
@@ -331,7 +385,7 @@ def test_jobs_cli_standalone_subprocess(tmp_path):
     env["RAY_NUM_CPUS"] = "2"
     proc = subprocess.run(
         [sys.executable, "-m", "dataprof_ray.jobs", "--input", corpus,
-         "--output", out, "--batch-size", "64"],
+         "--output", out],
         capture_output=True, text=True, env=env, timeout=240,
         cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
     assert proc.returncode == 0, proc.stderr[-2000:]

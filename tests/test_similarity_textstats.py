@@ -245,10 +245,10 @@ class TestLineage:
             if f.endswith(".parquet")
         )
         out_root = str(tmp_path / "out")
-        s1 = run_resumable_filter(shards, out_root, batch_size=128)
+        s1 = run_resumable_filter(shards, out_root)
         assert s1["shards_processed"] == 3 and s1["shards_skipped"] == 0
         # second run: everything skipped
-        s2 = run_resumable_filter(shards, out_root, batch_size=128)
+        s2 = run_resumable_filter(shards, out_root)
         assert s2["shards_processed"] == 0 and s2["shards_skipped"] == 3
         # output is partitioned one dir per shard
         dirs = [d for d in os.listdir(out_root) if d.startswith("shard_")]
@@ -273,7 +273,7 @@ class TestLineage:
             if f.endswith(".parquet")
         )
         out_root = str(tmp_path / "out")
-        s1 = run_resumable_filter(shards, out_root, batch_size=128)
+        s1 = run_resumable_filter(shards, out_root)
         assert s1["shards_processed"] == 3
 
         manifest_path = os.path.join(out_root, "_manifest.jsonl")
@@ -286,12 +286,12 @@ class TestLineage:
                 if rec["shard_id"] != killed["shard_id"]:
                     f.write(json.dumps(rec) + "\n")
 
-        s2 = run_resumable_filter(shards, out_root, batch_size=128)
+        s2 = run_resumable_filter(shards, out_root)
         assert s2["shards_processed"] == 1 and s2["shards_skipped"] == 2
         after = pq.read_table(killed["output_dir"]).sort_by("url")
         assert before.equals(after)  # deterministic rebuild
         # manifest is whole again: third run skips everything
-        s3 = run_resumable_filter(shards, out_root, batch_size=128)
+        s3 = run_resumable_filter(shards, out_root)
         assert s3["shards_processed"] == 0 and s3["shards_skipped"] == 3
 
     def test_zero_row_shard_gets_typed_empty_output(self, ray_session,
@@ -310,6 +310,98 @@ class TestLineage:
         rec = LineageManifest(s["manifest"]).records["empty.parquet"]
         assert (rec.rows, rec.kept) == (0, 0)
         assert pq.read_table(rec.output_dir).schema.equals(QF.OUTPUT_SCHEMA)
+
+
+    def test_input_path_longer_than_a_directory_name(self, ray_session,
+                                                     tmp_path):
+        """The write's partition directories are named from the shard's
+        file name, not its whole path, so an input path longer than one
+        directory name may be (255 bytes on most filesystems) still runs."""
+        from dataprof_ray.sources.corpus import write_corpus_parquet
+        from dataprof_ray.state.lineage import (LineageManifest,
+                                                run_resumable_filter)
+
+        deep = tmp_path.joinpath(*["d" * 100] * 3)
+        corpus_dir = write_corpus_parquet(str(deep), 50, shards=1)
+        shard = os.path.join(corpus_dir, os.listdir(corpus_dir)[0])
+        assert len(shard) > 255
+        s = run_resumable_filter([shard], str(tmp_path / "out"))
+        rec = LineageManifest(s["manifest"]).records[os.path.basename(shard)]
+        assert rec.rows == 50
+
+    def test_torn_manifest_line_rebuilds_only_that_shard(
+            self, ray_session, tmp_path):
+        """A crash mid-append leaves the last manifest line without its
+        newline: the rerun ignores that line, rebuilds only its shard,
+        and leaves a manifest whose every line parses."""
+        import json
+
+        import pyarrow.parquet as pq
+
+        from dataprof_ray.sources.corpus import write_corpus_parquet
+        from dataprof_ray.state.lineage import run_resumable_filter
+
+        corpus_dir = write_corpus_parquet(str(tmp_path / "corpus"), 300, shards=3)
+        shards = sorted(
+            os.path.join(corpus_dir, f) for f in os.listdir(corpus_dir)
+            if f.endswith(".parquet")
+        )
+        out_root = str(tmp_path / "out")
+        run_resumable_filter(shards, out_root)
+        manifest_path = os.path.join(out_root, "_manifest.jsonl")
+        with open(manifest_path) as f:
+            lines = f.readlines()
+        torn = json.loads(lines[-1])
+        before = pq.read_table(torn["output_dir"]).sort_by("url")
+        with open(manifest_path, "w") as f:
+            f.writelines(lines[:-1])
+            f.write(lines[-1][:len(lines[-1]) // 2])
+
+        s2 = run_resumable_filter(shards, out_root)
+        assert s2["shards_processed"] == 1 and s2["shards_skipped"] == 2
+        after = pq.read_table(torn["output_dir"]).sort_by("url")
+        assert before.equals(after)
+        with open(manifest_path) as f:
+            ids = [json.loads(line)["shard_id"] for line in f]
+        assert sorted(ids) == sorted(os.path.basename(p) for p in shards)
+        s3 = run_resumable_filter(shards, out_root)
+        assert s3["shards_processed"] == 0 and s3["shards_skipped"] == 3
+
+    def test_shard_cap_splits_executions(self, ray_session, tmp_path,
+                                         monkeypatch):
+        """Pending shards beyond SHARDS_PER_EXECUTION run in a further
+        execution; every shard still gets its own output and record."""
+        import pyarrow.parquet as pq
+        from ray.data._internal.execution.streaming_executor import (
+            StreamingExecutor)
+
+        from dataprof_ray.sources.corpus import write_corpus_parquet
+        from dataprof_ray.state import lineage as L
+
+        corpus_dir = write_corpus_parquet(str(tmp_path / "corpus"), 300, shards=3)
+        shards = sorted(
+            os.path.join(corpus_dir, f) for f in os.listdir(corpus_dir)
+            if f.endswith(".parquet")
+        )
+        executions = []
+        orig = StreamingExecutor.execute
+
+        def counted(executor, dag, *args, **kwargs):
+            executions.append(dag)
+            return orig(executor, dag, *args, **kwargs)
+
+        monkeypatch.setattr(StreamingExecutor, "execute", counted)
+        monkeypatch.setattr(L, "SHARDS_PER_EXECUTION", 2)
+        s = L.run_resumable_filter(shards, str(tmp_path / "out"))
+        assert s["shards_processed"] == 3 and len(executions) == 2
+        recs = L.LineageManifest(s["manifest"]).records
+        for p in shards:
+            rec = recs[os.path.basename(p)]
+            got = pq.read_table(rec.output_dir).column("url").to_pylist()
+            assert sorted(got) == sorted(
+                pq.read_table(p, columns=["url"]).column("url").to_pylist())
+        assert sorted(os.listdir(tmp_path / "out")) == [
+            "_manifest.jsonl", "shard_00000", "shard_00001", "shard_00002"]
 
 
 class TestQuantization:
