@@ -23,6 +23,11 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from dataprof_ray.pipelines.partitioning import (column_hashes,
+                                                 keyed_exchange,
+                                                 nullable_cogroup,
+                                                 to_pandas_exact)
+
 
 def round_away(values, decimals: int):
     """Round half away from zero — matches DuckDB/SQL ROUND semantics, unlike
@@ -44,14 +49,15 @@ def preagg_groupby(
     specs: Sequence[tuple],
     batch_size: Optional[int] = 8192,
 ) -> pd.DataFrame:
-    """Two-level aggregate: per-batch partials -> groupby over partials.
+    """Two-level aggregate: per-batch partials -> combine over partials.
 
     ``specs``: (out_name, src_col, fn) with fn in {sum, count, min, max};
     ``src_col`` is ignored for count. Returns a pandas DataFrame (small by
-    construction: one row per distinct key).
+    construction: one row per distinct key). NULL keys form their own
+    group (SQL GROUP BY): the partials move through ``keyed_exchange`` on
+    the key hash, and each partition combines with an Arrow ``group_by``,
+    so no user key value ever reaches Ray's sort comparator.
     """
-    from ray.data.aggregate import Max, Min, Sum
-
     keys = list(keys)
 
     for _name, _col, _fn in specs:
@@ -75,17 +81,18 @@ def preagg_groupby(
             cols[name] = res.column(src)
         return pa.table(cols)
 
-    final_aggs = []
-    for name, _col, fn in specs:
-        cls = {"sum": Sum, "count": Sum, "min": Min, "max": Max}[fn]
-        final_aggs.append(cls(name, alias_name=name))
+    final = [(name, "sum" if fn == "count" else fn) for name, _c, fn in specs]
 
-    agg = (
-        ds.map_batches(partials, batch_format="pyarrow", batch_size=batch_size)
-        .groupby(keys)
-        .aggregate(*final_aggs)
-    )
-    out = agg.to_pandas()
+    def combine(t: pa.Table) -> pa.Table:
+        res = t.group_by(keys).aggregate(final)
+        cols = {k: res.column(k) for k in keys}
+        for name, fn in final:
+            cols[name] = res.column(f"{name}_{fn}")
+        return pa.table(cols)
+
+    out = keyed_exchange(
+        ds.map_batches(partials, batch_format="pyarrow", batch_size=batch_size),
+        keys, combine).to_pandas()
     if any(k not in out.columns for k in keys):
         # zero input rows -> zero groups -> column-less frame (the same
         # empty-input class funnel_counts guards); emit the typed shape
@@ -111,21 +118,17 @@ def group_quantiles(
     agree bit-for-bit before rounding. Null values are excluded (SQL
     aggregate semantics).
 
-    Scale design: groups are COARSE-partitioned by ``hash(keys) %
-    partitions`` and each partition computes ALL of its groups' quantiles
-    inside one task (a single in-process pandas groupby), so Ray schedules
-    64 groups regardless of key cardinality (per-key Ray groups are the
-    measured per-tiny-group hotspot; see pipelines.partitioning). Exact
-    quantiles still need each group's
-    values co-located: per-group cardinality is bounded by worker memory
-    (the streaming approximation for bigger groups is the profiler's
-    sampled percentiles)."""
+    Scale design: one ``keyed_exchange`` on the key hash; each coarse
+    partition computes ALL of its groups' quantiles inside one task (a
+    single in-process pandas groupby), so Ray schedules 64 groups
+    regardless of key cardinality (per-key Ray groups are the measured
+    per-tiny-group hotspot; see pipelines.partitioning). Exact quantiles
+    still need each group's values co-located: per-group cardinality is
+    bounded by worker memory (the streaming approximation for bigger
+    groups is the profiler's sampled percentiles)."""
     from dataprof_ray.functions.kernels import quantile_type7
-    from dataprof_ray.pipelines.partitioning import (arrow_out, DEFAULT_PARTITIONS,
-                                                     add_part_column)
 
     keys = list(keys)
-    parts = partitions or DEFAULT_PARTITIONS
     qnames = [f"q{int(round(q * 100)):02d}" for q in qs]
 
     def per_partition(df: pd.DataFrame) -> pd.DataFrame:
@@ -147,14 +150,9 @@ def group_quantiles(
                         float(round_away(quantile_type7(sv, q), decimals)))
         return pd.DataFrame(rows)
 
-    out = (
-        ds.select_columns(keys + [value_col])
-        .map_batches(lambda b: add_part_column(b, keys, parts),
-                     batch_format="pyarrow")
-        .groupby("__part")
-        .map_groups(arrow_out(per_partition), batch_format="pandas")
-        .to_pandas()
-    )
+    out = keyed_exchange(ds.select_columns(keys + [value_col]), keys,
+                         per_partition, partitions=partitions,
+                         batch_format="pandas").to_pandas()
     return out.sort_values(keys).reset_index(drop=True)
 
 
@@ -176,19 +174,13 @@ def argmax_by(
     collapses to at most one row per key it contains (a per-batch pandas
     sort + drop_duplicates — the argmax combiner), so the shuffle moves
     |keys-in-batch| x |batches| candidate rows, never the input. The final
-    reduce runs per COARSE hash(key) partition (see pipelines.partitioning),
-    one vectorized pass for all keys of a partition. Output size = number of
-    distinct keys; at corpus scale consume the returned frame's upstream as
-    a Dataset write instead of collecting (this helper returns pandas for
-    the small-result profile/query use)."""
-    from dataprof_ray.pipelines.partitioning import (DEFAULT_PARTITIONS,
-                                                     add_part_column,
-                                                     nullable_cogroup,
-                                                     to_pandas_exact)
-
+    reduce runs per ``keyed_exchange`` partition, one vectorized pass for
+    all keys of a partition. Output size = number of distinct keys; at
+    corpus scale consume the returned frame's upstream as a Dataset write
+    instead of collecting (this helper returns pandas for the
+    small-result profile/query use)."""
     keys = list(keys)
     order_cols = list(order_cols)
-    parts = partitions or DEFAULT_PARTITIONS
     keep = "last" if descending else "first"
 
     def reduce_batch(df: pd.DataFrame) -> pd.DataFrame:
@@ -199,14 +191,12 @@ def argmax_by(
         # nullable_cogroup: payload ints/bools with nulls must ride through
         # the pandas combiner exactly (not as float64); it also emits
         # metadata-free Arrow so downstream shuffles can hash the schema
-        ds.map_batches(nullable_cogroup(reduce_batch),
-                       batch_format="pyarrow")
-        .map_batches(lambda b: add_part_column(b, keys, parts),
-                     batch_format="pyarrow")
-        .groupby("__part")
-        .map_groups(nullable_cogroup(reduce_batch), batch_format="pyarrow"),
+        keyed_exchange(ds.map_batches(nullable_cogroup(reduce_batch),
+                                      batch_format="pyarrow"),
+                       keys, nullable_cogroup(reduce_batch),
+                       partitions=partitions),
         fallback_schema=_base_schema(ds),  # all-empty input
-    ).drop(columns="__part", errors="ignore")
+    )
     if out.empty and not len(out.columns):
         return out  # schema-less empty input: nothing to sort
     return out.sort_values(keys).reset_index(drop=True)
@@ -252,31 +242,47 @@ def pivot_counts(
     return out
 
 
-def sketch_from_column(ds, col: str, k: int = 512):
-    """Fold a column into one mergeable ``QuantileSketch``: every BLOCK
-    (``batch_size=None`` — a per-default-batch partial would never
-    compress when k exceeds the batch size) emits a <= k-point partial;
-    the driver folds them. The reduction moves k x blocks points no
-    matter the input size (rank error O(d/k) for merge depth d)."""
+def sketch_columns(ds, cols: Sequence[str], k: int = 512) -> dict:
+    """Fold every column of ``cols`` into its own mergeable
+    ``QuantileSketch`` in ONE pass: every BLOCK (``batch_size=None`` — a
+    per-default-batch partial would never compress when k exceeds the
+    batch size) emits a <= k-point partial per column; the driver folds
+    them. The reduction moves k x blocks points per column no matter the
+    input size (rank error O(d/k) for merge depth d). Returns
+    ``{column: QuantileSketch}``."""
     from dataprof_ray.state.quantile_sketch import QuantileSketch
 
+    cols = list(cols)
+
     def sketch_batch(batch: pa.Table) -> pa.Table:
-        sk = QuantileSketch(k).update_array(
-            batch.column(col).to_numpy(zero_copy_only=False))
+        sks = [QuantileSketch(k).update_array(
+            batch.column(c).to_numpy(zero_copy_only=False)) for c in cols]
         return pa.table({
-            "v": pa.array(sk.values, pa.float64()),
-            "w": pa.array(sk.weights, pa.float64()),
+            "ci": pa.array(np.repeat(np.arange(len(cols), dtype=np.int32),
+                                     [len(sk.values) for sk in sks])),
+            "v": pa.array(np.concatenate([sk.values for sk in sks]),
+                          pa.float64()),
+            "w": pa.array(np.concatenate([sk.weights for sk in sks]),
+                          pa.float64()),
         })
 
-    merged = QuantileSketch(k)
-    for part in (ds.select_columns([col])
+    merged = {c: QuantileSketch(k) for c in cols}
+    for part in (ds.select_columns(cols)
                  .map_batches(sketch_batch, batch_format="pyarrow",
                               batch_size=None)
                  .iter_batches(batch_format="pyarrow", batch_size=None)):
-        merged.merge(QuantileSketch(
-            k, part.column("v").to_numpy(zero_copy_only=False),
-            part.column("w").to_numpy(zero_copy_only=False)))
+        ci = part.column("ci").to_numpy(zero_copy_only=False)
+        v = part.column("v").to_numpy(zero_copy_only=False)
+        w = part.column("w").to_numpy(zero_copy_only=False)
+        for i, c in enumerate(cols):
+            sel = ci == i
+            merged[c].merge(QuantileSketch(k, v[sel], w[sel]))
     return merged
+
+
+def sketch_from_column(ds, col: str, k: int = 512):
+    """One column's :func:`sketch_columns` sketch."""
+    return sketch_columns(ds, [col], k)[col]
 
 
 def approx_quantiles(
@@ -313,42 +319,31 @@ def topk_per_group(
     Scale design: the ``argmax_by`` combiner generalized — each batch
     keeps at most k rows per key it contains, so the shuffle moves
     k x |keys-in-batch| x |batches| candidates; the final reduce is one
-    vectorized pandas pass per COARSE hash(key) partition.
+    vectorized pandas pass per ``keyed_exchange`` partition.
 
     ``as_pandas=False`` returns the result as a Dataset instead of
     collecting it — required when k x distinct-keys is itself corpus-sized
     (e.g. a per-domain cap over billions of domains feeding an export)."""
-    from dataprof_ray.pipelines.partitioning import (DEFAULT_PARTITIONS,
-                                                     add_part_column,
-                                                     nullable_cogroup,
-                                                     to_pandas_exact)
-
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     keys = list(keys)
     order_cols = list(order_cols)
-    parts = partitions or DEFAULT_PARTITIONS
 
     def reduce_batch(df: pd.DataFrame) -> pd.DataFrame:
         return (df.sort_values(order_cols, ascending=not descending,
                                kind="stable")
                 .groupby(keys, sort=False, dropna=False).head(k))
 
-    out = (
-        # nullable_cogroup: exact int/bool payloads through the pandas
-        # combiner + metadata-free Arrow out (see argmax_by)
-        ds.map_batches(nullable_cogroup(reduce_batch),
-                       batch_format="pyarrow")
-        .map_batches(lambda b: add_part_column(b, keys, parts),
-                     batch_format="pyarrow")
-        .groupby("__part")
-        .map_groups(nullable_cogroup(reduce_batch), batch_format="pyarrow")
-    )
+    # nullable_cogroup: exact int/bool payloads through the pandas
+    # combiner + metadata-free Arrow out (see argmax_by)
+    out = keyed_exchange(ds.map_batches(nullable_cogroup(reduce_batch),
+                                        batch_format="pyarrow"),
+                         keys, nullable_cogroup(reduce_batch),
+                         partitions=partitions)
     if not as_pandas:
-        return out.drop_columns(["__part"])
-    out = to_pandas_exact(
-        out, fallback_schema=_base_schema(ds),  # all-empty input
-    ).drop(columns="__part", errors="ignore")
+        return out
+    # fallback_schema: all-empty input
+    out = to_pandas_exact(out, fallback_schema=_base_schema(ds))
     if out.empty and not len(out.columns):
         return out  # schema-less empty input: nothing to sort
     return out.sort_values(keys + order_cols).reset_index(drop=True)
@@ -363,17 +358,14 @@ def key_skew_stats(ds, keys, top_n: int = 10,
     guard takes exactly these keys).
 
     Scale design: per-batch partial counts (one row per distinct key per
-    batch crosses the wire), coarse key-hash partitions (a key lives wholly
-    in one partition), per-partition (top-n candidates, total, distinct)
-    — the driver merges ``partitions`` candidate frames and P summary rows,
-    never the key universe. Shares rounded half-away-from-zero to 6
-    decimals. Returns a pandas DataFrame: rank | key columns | cnt | share.
+    batch crosses the wire), one ``keyed_exchange`` (a key lives wholly in
+    one partition), per-partition top-n candidates whose first row also
+    carries the partition's total and distinct count — the driver merges
+    ``partitions`` candidate frames, never the key universe. Shares
+    rounded half-away-from-zero to 6 decimals. Returns a pandas
+    DataFrame: rank | key columns | cnt | share.
     """
-    from dataprof_ray.pipelines.partitioning import (
-        DEFAULT_PARTITIONS, add_part_column)
-
     keys = list(keys)
-    parts = partitions or DEFAULT_PARTITIONS
 
     # Arrow-native throughout: a pandas roundtrip would launder a
     # null-bearing int key batch to float64, and the partition hash is
@@ -387,27 +379,21 @@ def key_skew_stats(ds, keys, top_n: int = 10,
         tot = t.group_by(keys).aggregate([("cnt", "sum")]) \
             .rename_columns(keys + ["cnt"])
         order = [("cnt", "descending")] + [(k, "ascending") for k in keys]
-        top = tot.sort_by(order).slice(0, top_n)
-        n = top.num_rows
-        part = t.column("__part")[0].as_py()
+        # the partition's summary rides its first row only (kept even at
+        # top_n = 0; the driver cuts to top_n), so a plain sum folds it
+        top = tot.sort_by(order).slice(0, max(top_n, 1))
+        pad = [0] * (top.num_rows - 1)
         return (top
-                .append_column("__part", pa.array([part] * n, pa.int32()))
                 .append_column("__total", pa.array(
-                    [pc.sum(tot.column("cnt")).as_py() or 0] * n, pa.int64()))
+                    [pc.sum(tot.column("cnt")).as_py() or 0] + pad, pa.int64()))
                 .append_column("__distinct", pa.array(
-                    [tot.num_rows] * n, pa.int64())))
+                    [tot.num_rows] + pad, pa.int64())))
 
-    cand = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .map_batches(lambda b: add_part_column(b, keys, parts),
-                     batch_format="pyarrow")
-        .groupby("__part")
-        .map_groups(reduce_part, batch_format="pyarrow")
-        .to_pandas()
-    )
-    per_part = cand.groupby("__part").first()
-    total = int(per_part["__total"].sum())
-    distinct = int(per_part["__distinct"].sum())
+    cand = keyed_exchange(ds.map_batches(partial, batch_format="pyarrow"),
+                          keys, reduce_part,
+                          partitions=partitions).to_pandas()
+    total = int(cand["__total"].sum())
+    distinct = int(cand["__distinct"].sum())
     top = cand.sort_values(["cnt"] + keys,
                            ascending=[False] + [True] * len(keys)) \
         .head(top_n).reset_index(drop=True)
@@ -424,9 +410,9 @@ def group_distinct(ds, keys, value_col: str,
                    partitions: int = None):
     """Distinct ``value_col`` count per key group, exchange-efficient:
     each batch ships its DISTINCT (key, 64-bit value hash) pairs — the
-    value itself never moves — coarse-partitioned by key hash, then one
-    vectorized ``nunique`` per partition (a key lives wholly in one
-    partition). Null values are excluded, matching SQL COUNT(DISTINCT).
+    value itself never moves — through one ``keyed_exchange`` on the key,
+    then one Arrow ``count_distinct`` per partition (a key lives wholly in
+    one partition). Null values are excluded, matching SQL COUNT(DISTINCT).
 
     Exactness: counts are exact modulo 64-bit hash collisions
     (~n²/2⁶⁵ — negligible below ~10⁸ distinct per key). Worker memory is
@@ -435,13 +421,7 @@ def group_distinct(ds, keys, value_col: str,
     ever outgrows that, swap the per-key exact count for the
     state.accumulators.CardinalityEstimator HLL spill (mergeable
     registers), trading exactness for O(16KB)/key."""
-    import pandas as pd
-
-    from dataprof_ray.pipelines.partitioning import (
-        DEFAULT_PARTITIONS, add_part_column, column_hashes)
-
     keys = list(keys)
-    parts = partitions or DEFAULT_PARTITIONS
 
     def partial(batch: pa.Table) -> pa.Table:
         t = batch.select(keys + [value_col])
@@ -458,13 +438,8 @@ def group_distinct(ds, keys, value_col: str,
         out = t.group_by(keys).aggregate([("__h", "count_distinct")])
         return out.rename_columns(keys + ["distinct_count"])
 
-    return (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .map_batches(lambda b: add_part_column(b, keys, parts),
-                     batch_format="pyarrow")
-        .groupby("__part")
-        .map_groups(reduce_part, batch_format="pyarrow")
-    )
+    return keyed_exchange(ds.map_batches(partial, batch_format="pyarrow"),
+                          keys, reduce_part, partitions=partitions)
 
 
 def funnel_counts(ds, key: str, ts_col: str, stage_col: str,
@@ -478,17 +453,12 @@ def funnel_counts(ds, key: str, ts_col: str, stage_col: str,
 
     Scale design: per-batch partials reduce to min-ts per (key, stage) —
     the shuffle moves one small row per key-stage pair per batch, never
-    events — then COARSE hash(key) partitions evaluate the ordered
+    events — then ``keyed_exchange`` partitions evaluate the ordered
     condition for ALL their keys in one vectorized pandas pivot, emitting
     ``len(stages)`` counts each; the driver folds partitions x stages
     tiny rows. Null keys/timestamps are excluded (SQL GROUP BY over the
     same filter)."""
-    from dataprof_ray.pipelines.partitioning import (DEFAULT_PARTITIONS,
-                                                     arrow_out,
-                                                     multikey_parts)
-
     stages = list(stages)
-    parts = partitions or DEFAULT_PARTITIONS
     stage_idx = {s: i for i, s in enumerate(stages)}
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -505,10 +475,7 @@ def funnel_counts(ds, key: str, ts_col: str, stage_col: str,
             "t": b.column(ts_col).to_pandas().to_numpy(),
         })
         m = df.groupby(["k", "s"], as_index=False, sort=False)["t"].min()
-        out = pa.Table.from_pandas(m, preserve_index=False) \
-            .replace_schema_metadata(None)
-        return out.append_column("__part", pa.array(
-            multikey_parts(out, ["k"], parts), pa.int32()))
+        return pa.Table.from_pandas(m, preserve_index=False)
 
     def evaluate(df: pd.DataFrame) -> pd.DataFrame:
         m = (df.groupby(["k", "s"], as_index=False, sort=False)["t"].min()
@@ -529,11 +496,11 @@ def funnel_counts(ds, key: str, ts_col: str, stage_col: str,
         return pd.DataFrame({"stage": stages,
                              "n_keys": counts})
 
-    per_part = (ds.select_columns([key, ts_col, stage_col])
-                .map_batches(partial, batch_format="pyarrow")
-                .groupby("__part")
-                .map_groups(arrow_out(evaluate), batch_format="pandas")
-                .to_pandas())
+    per_part = keyed_exchange(
+        ds.select_columns([key, ts_col, stage_col])
+        .map_batches(partial, batch_format="pyarrow"),
+        ["k"], evaluate, partitions=partitions,
+        batch_format="pandas").to_pandas()
     if per_part.empty or "stage" not in per_part.columns:
         # zero qualifying events -> zero groups -> column-less frame
         return pd.DataFrame({"stage": stages,
@@ -786,128 +753,148 @@ def grouped_mode(ds, keys: Sequence[str], value_col: str,
     return picked.reset_index(drop=True)
 
 
-def exact_global_quantiles(ds, col: str, qs: Sequence[float],
-                           k: int = 512, slack: float = 0.01,
-                           max_bracket: int = 2_000_000,
+def exact_column_quantiles(ds, targets: dict, k: int = 512,
+                           slack: float = 0.01, max_bracket: int = 2_000_000,
                            max_rounds: int = 5) -> dict:
-    """EXACT global QUANTILE_CONT (type-7) without ever co-locating the
-    column: a mergeable :class:`QuantileSketch` brackets each target rank,
-    then one counting pass per round ships only (a) the exact count of
-    values below each bracket and (b) the in-bracket values themselves —
-    expected O(slack * n) points, not n. The type-7 interpolation then
-    reads its two order statistics straight out of the collected slice.
-    If a true rank falls outside its bracket (sketch error), the bracket
-    widens (slack x4) and ONLY the failed quantiles re-run — exactness
-    never depends on sketch quality, only the pass count does.
+    """EXACT global QUANTILE_CONT (type-7) of every ``{column: qs}`` in
+    ``targets`` without ever co-locating a column: one pass folds a
+    mergeable :class:`QuantileSketch` per column (:func:`sketch_columns`)
+    that brackets each target rank, then one counting pass per round
+    ships, for every (column, quantile) pair at once, only (a) the exact
+    count of values below its bracket and (b) the in-bracket values
+    themselves — expected O(slack * n) points, not n. The type-7
+    interpolation then reads its two order statistics straight out of the
+    collected slice. If a true rank falls outside its bracket (sketch
+    error), the bracket widens (slack x4) and ONLY the failed pairs
+    re-run — exactness never depends on sketch quality, only the pass
+    count does. Passes do not grow with the number of columns.
 
     Scale contract: bracket traffic is ~2 * slack * n values per
-    quantile; pick ``k`` (sketch rank error O(1/k)) and ``slack`` so that
-    fits the driver (``max_bracket`` hard-fails loudly rather than
-    silently materializing the column). Ties/NaN: nulls and NaNs are
-    excluded (SQL aggregate semantics); heavy ties only shrink brackets.
+    (column, quantile) pair; pick ``k`` (sketch rank error O(1/k)) and
+    ``slack`` so that fits the driver. ``max_bracket`` bounds each pair's
+    collected values and hard-fails loudly, naming the column, rather
+    than silently materializing it. Ties/NaN: nulls and NaNs are excluded
+    (SQL aggregate semantics); heavy ties only shrink brackets.
 
-    Returns ``{q: (exact_value, n_non_null)}``.
+    Returns ``{column: {q: (exact_value, n_non_null)}}``.
     """
-    from dataprof_ray.state.quantile_sketch import QuantileSketch  # noqa: F401
-    from dataprof_ray.functions.kernels import quantile_type7  # noqa: F401
+    targets = {c: list(qs) for c, qs in targets.items()}
+    for c, qs in targets.items():
+        if not qs or any(not (0.0 <= q <= 1.0) for q in qs):
+            raise ValueError(
+                f"quantiles of {c!r} must lie in [0, 1], got {qs!r}")
 
-    qs = list(qs)
-    if not qs or any(not (0.0 <= q <= 1.0) for q in qs):
-        raise ValueError(f"quantiles must lie in [0, 1], got {qs!r}")
+    sketches = sketch_columns(ds, list(targets), k)
 
-    sketch = sketch_from_column(ds, col, k)
-
-    pending = {q: slack for q in qs}
-    results: dict = {}
+    pending = {(c, q): slack for c, qs in targets.items() for q in qs}
+    results: dict = {c: {} for c in targets}
     for _round in range(max_rounds):
         if not pending:
             break
-        brackets = {}
-        for q, s in pending.items():
-            lo = (-np.inf if q - s <= 0.0 else sketch.quantile(q - s))
-            hi = (np.inf if q + s >= 1.0 else sketch.quantile(q + s))
-            brackets[q] = (lo, hi)
-        blist = sorted(brackets.items())
-        lo_arr = np.array([b[1][0] for b in blist])
-        hi_arr = np.array([b[1][1] for b in blist])
+        pairs = sorted(pending)
+        cols = sorted({c for c, _q in pairs})
+        bounds = []  # (column index, lo, hi) per pair
+        for c, q in pairs:
+            s = pending[(c, q)]
+            bounds.append((
+                cols.index(c),
+                -np.inf if q - s <= 0.0 else sketches[c].quantile(q - s),
+                np.inf if q + s >= 1.0 else sketches[c].quantile(q + s)))
 
-        def partial(batch: pa.Table, _lo=lo_arr, _hi=hi_arr) -> pa.Table:
-            v = batch.column(col).to_numpy(zero_copy_only=False)
-            v = v[~pd.isna(v)].astype(np.float64, copy=False)
-            v = v[~np.isnan(v)]
-            qi_out, val_out = [], []
-            below = np.empty(len(_lo), np.int64)
-            for i, (lo, hi) in enumerate(zip(_lo, _hi)):
+        def partial(batch: pa.Table, _cols=cols, _bounds=bounds) -> pa.Table:
+            valid = []
+            for c in _cols:
+                v = batch.column(c).to_numpy(zero_copy_only=False)
+                v = v[~pd.isna(v)].astype(np.float64, copy=False)
+                valid.append(v[~np.isnan(v)])
+            below = np.empty(len(_bounds), np.int64)
+            n_valid = np.empty(len(_bounds), np.int64)
+            pi_out, val_out = [], []
+            for i, (ci, lo, hi) in enumerate(_bounds):
+                v = valid[ci]
                 below[i] = int((v < lo).sum())
+                n_valid[i] = len(v)
                 inb = v[(v >= lo) & (v <= hi)]
-                qi_out.append(np.full(len(inb), i, np.int32))
+                pi_out.append(np.full(len(inb), i, np.int32))
                 val_out.append(inb)
+            n_vals = sum(map(len, val_out))
             counts = pa.table({
-                "qi": pa.array(np.arange(len(_lo), dtype=np.int32)),
+                "pi": pa.array(np.arange(len(_bounds), dtype=np.int32)),
                 "below": pa.array(below),
-                "n_valid": pa.array(
-                    np.full(len(_lo), len(v), np.int64)),
-                "val": pa.nulls(len(_lo), pa.float64()),
+                "n_valid": pa.array(n_valid),
+                "val": pa.nulls(len(_bounds), pa.float64()),
             })
             vals = pa.table({
-                "qi": pa.array(np.concatenate(qi_out).astype(np.int32)),
-                "below": pa.nulls(sum(map(len, val_out)), pa.int64()),
-                "n_valid": pa.nulls(sum(map(len, val_out)), pa.int64()),
+                "pi": pa.array(np.concatenate(pi_out).astype(np.int32)),
+                "below": pa.nulls(n_vals, pa.int64()),
+                "n_valid": pa.nulls(n_vals, pa.int64()),
                 "val": pa.array(np.concatenate(val_out)),
             })
             return pa.concat_tables([counts, vals])
 
-        below_tot = np.zeros(len(blist), np.int64)
-        n_total = 0
-        collected: list = [[] for _ in blist]
-        n_collected = 0
-        for part in (ds.select_columns([col])
+        below_tot = np.zeros(len(pairs), np.int64)
+        n_total = np.zeros(len(pairs), np.int64)
+        n_collected = np.zeros(len(pairs), np.int64)
+        collected: list = [[] for _ in pairs]
+        for part in (ds.select_columns(cols)
                      .map_batches(partial, batch_format="pyarrow")
                      .iter_batches(batch_format="pyarrow",
                                    batch_size=None)):
-            qi = part.column("qi").to_numpy(zero_copy_only=False)
+            pi = part.column("pi").to_numpy(zero_copy_only=False)
             below = part.column("below").to_numpy(zero_copy_only=False)
             nv = part.column("n_valid").to_numpy(zero_copy_only=False)
             val = part.column("val").to_numpy(zero_copy_only=False)
             is_count = ~pd.isna(below)
-            np.add.at(below_tot, qi[is_count],
+            np.add.at(below_tot, pi[is_count],
                       below[is_count].astype(np.int64))
-            if is_count.any():
-                n_total += int(nv[is_count][qi[is_count] == 0].sum())
-            vrows = ~is_count
-            n_collected += int(vrows.sum())
-            if n_collected > max_bracket:
+            np.add.at(n_total, pi[is_count], nv[is_count].astype(np.int64))
+            vpi, vval = pi[~is_count], val[~is_count]
+            n_collected += np.bincount(vpi, minlength=len(pairs))
+            over = np.flatnonzero(n_collected > max_bracket)
+            if len(over):
+                c, q = pairs[over[0]]
                 raise MemoryError(
-                    f"quantile bracket for {col!r} exceeded max_bracket="
-                    f"{max_bracket}; raise k or lower slack")
-            for i in range(len(blist)):
-                sel = val[vrows & (qi == i)]
-                if len(sel):
-                    collected[i].append(sel)
+                    f"quantile bracket for {c!r} at q={q} exceeded "
+                    f"max_bracket={max_bracket}; raise k or lower slack")
+            for i in np.unique(vpi):
+                collected[i].append(vval[vpi == i])
 
         still_pending = {}
-        for i, (q, (lo, hi)) in enumerate(blist):
+        for i, (c, q) in enumerate(pairs):
+            n = int(n_total[i])
+            if n == 0:
+                results[c][q] = (float("nan"), 0)
+                continue
             vals = (np.sort(np.concatenate(collected[i]))
                     if collected[i] else np.empty(0))
-            if n_total == 0:
-                results[q] = (float("nan"), 0)
-                continue
-            h = (n_total - 1) * q
+            h = (n - 1) * q
             i0 = int(math.floor(h))
-            i1 = min(i0 + 1, n_total - 1)
+            i1 = min(i0 + 1, n - 1)
             b = int(below_tot[i])
             if i0 >= b and i1 < b + len(vals):
                 x0, x1 = float(vals[i0 - b]), float(vals[i1 - b])
                 frac = h - i0
-                results[q] = (x0 * (1 - frac) + x1 * frac, n_total)
+                results[c][q] = (x0 * (1 - frac) + x1 * frac, n)
             else:
-                still_pending[q] = pending[q] * 4.0
+                still_pending[(c, q)] = pending[(c, q)] * 4.0
         pending = still_pending
     if pending:
         raise RuntimeError(
-            f"exact_global_quantiles did not converge for {sorted(pending)} "
+            f"exact quantiles did not converge for {sorted(pending)} "
             f"after {max_rounds} bracket widenings")
-    return results
+    return {c: {q: results[c][q] for q in qs} for c, qs in targets.items()}
+
+
+def exact_global_quantiles(ds, col: str, qs: Sequence[float],
+                           k: int = 512, slack: float = 0.01,
+                           max_bracket: int = 2_000_000,
+                           max_rounds: int = 5) -> dict:
+    """EXACT global QUANTILE_CONT (type-7) of one column: the one-column
+    case of :func:`exact_column_quantiles` (two passes when every bracket
+    holds). Returns ``{q: (exact_value, n_non_null)}``."""
+    return exact_column_quantiles(ds, {col: qs}, k=k, slack=slack,
+                                  max_bracket=max_bracket,
+                                  max_rounds=max_rounds)[col]
 
 
 def _fold_column_partials(ds, cols, partial, fields) -> pd.DataFrame:
@@ -927,17 +914,17 @@ def winsorized_stats(ds, cols: Sequence[str], lo_q: float = 0.05,
                      hi_q: float = 0.95, decimals: int = 4,
                      k: int = 512) -> pd.DataFrame:
     """Winsorized (clipped-tail) summary per column: exact global
-    [lo_q, hi_q] cut points via :func:`exact_global_quantiles`, then one
-    shared vectorized pass clips every column to its cuts and folds
-    (count, sum) partials into the winsorized mean — the robust-mean
-    feature that tames crawl-metric outliers without dropping rows.
+    [lo_q, hi_q] cut points of every column from one
+    :func:`exact_column_quantiles` call, then one shared vectorized pass
+    clips every column to its cuts and folds (count, sum) partials into
+    the winsorized mean — the robust-mean feature that tames crawl-metric
+    outliers without dropping rows. Three Ray Data executions (sketch,
+    bracket, fold) whatever the column count, while every bracket holds.
     Clipping uses the UNROUNDED cuts (as SQL would); only the reported
     values round half-away."""
     cols = list(cols)
-    cuts = {}
-    for c in cols:
-        qr = exact_global_quantiles(ds, c, [lo_q, hi_q], k=k)
-        cuts[c] = (qr[lo_q][0], qr[hi_q][0])
+    qr = exact_column_quantiles(ds, {c: [lo_q, hi_q] for c in cols}, k=k)
+    cuts = {c: (qr[c][lo_q][0], qr[c][hi_q][0]) for c in cols}
 
     def partial(batch: pa.Table) -> pa.Table:
         names, ns, sums = [], [], []
@@ -971,35 +958,37 @@ def robust_outlier_stats(ds, cols: Sequence[str], z: float = 3.0,
                          decimals: int = 4, k: int = 512) -> pd.DataFrame:
     """Robust (median/MAD) outlier fences per column — the
     outlier detector that, unlike mean/stddev z-scores, is not dragged by
-    the outliers it is trying to find. Per column: exact global median,
-    exact MAD (median of |x - median|, a second bracketed-quantile pass
-    over the derived deviation column), then one shared vectorized pass
-    counts values strictly outside ``median ± z * 1.4826 * MAD`` (1.4826
-    = the normal-consistency constant, so z is in sigma units).
+    the outliers it is trying to find. Every column's exact global median
+    comes from one :func:`exact_column_quantiles` call, every column's
+    exact MAD (median of |x - median|) from a second call over one
+    derived deviation pass, then one shared vectorized pass counts values
+    strictly outside ``median ± z * 1.4826 * MAD`` (1.4826 = the
+    normal-consistency constant, so z is in sigma units). Five Ray Data
+    executions (median sketch + bracket, MAD sketch + bracket, fence
+    count) whatever the column count, while every bracket holds; each
+    stage needs the one before it.
 
-    Exactness: both quantiles ride :func:`exact_global_quantiles`
-    (bounded memory, sketch brackets + exact rank selection); DuckDB's
-    ``median()``/``mad()`` are bit-identical to type-7 at q=0.5 on
-    doubles (verified), so the oracle agrees before rounding. Fences are
-    computed from UNROUNDED stats in float64 with the same
+    Exactness: both quantiles are exact type-7 rank selections at bounded
+    memory; DuckDB's ``median()``/``mad()`` are bit-identical to type-7
+    at q=0.5 on doubles (verified), so the oracle agrees before rounding.
+    Fences are computed from UNROUNDED stats in float64 with the same
     multiplication order the SQL uses."""
     cols = list(cols)
-    stats = {}
-    for c in cols:
-        med = exact_global_quantiles(ds, c, [0.5], k=k)[0.5][0]
+    halves = {c: [0.5] for c in cols}
+    med = {c: r[0.5][0] for c, r in
+           exact_column_quantiles(ds, halves, k=k).items()}
 
-        def dev_batch(batch: pa.Table, _c=c, _m=med) -> pa.Table:
-            x = pc.cast(batch.column(_c), pa.float64())
-            return pa.table(
-                {"__dev": pc.abs(pc.subtract(x, pa.scalar(_m)))})
+    def dev_batch(batch: pa.Table) -> pa.Table:
+        return pa.table({c: pc.abs(pc.subtract(
+            pc.cast(batch.column(c), pa.float64()), pa.scalar(med[c])))
+            for c in cols})
 
-        mad = exact_global_quantiles(
-            ds.select_columns([c])
-            .map_batches(dev_batch, batch_format="pyarrow"),
-            "__dev", [0.5], k=k)[0.5][0]
-        lo = med - z * 1.4826 * mad
-        hi = med + z * 1.4826 * mad
-        stats[c] = (med, mad, lo, hi)
+    devs = ds.select_columns(cols).map_batches(dev_batch,
+                                               batch_format="pyarrow")
+    mad = {c: r[0.5][0] for c, r in
+           exact_column_quantiles(devs, halves, k=k).items()}
+    stats = {c: (med[c], mad[c], med[c] - z * 1.4826 * mad[c],
+                 med[c] + z * 1.4826 * mad[c]) for c in cols}
 
     def partial(batch: pa.Table) -> pa.Table:
         names, ns, outs = [], [], []

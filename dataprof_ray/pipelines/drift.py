@@ -26,6 +26,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from dataprof_ray.pipelines.partitioning import keyed_exchange
+
 
 def _finite_min_max(ds, col: str) -> tuple[float, float]:
     """Min/max over FINITE values only — a raw Min/Max aggregate passes
@@ -201,19 +203,14 @@ def vocab_drift(ds_a, ds_b, text_col: str = "text", top_n: int = 30,
     oracle is exact.
 
     Scale design: per-batch partial Counters per side -> (term, n, side)
-    rows COARSE-partitioned by term hash (each term lives wholly in one
-    partition) -> one vectorized pivot per partition, which keeps only its
-    own top_n candidates — the driver concatenates ``partitions x top_n``
-    rows and cuts the global top_n. Documents never move; the shuffle is
+    rows through one ``keyed_exchange`` on the term (each term lives
+    wholly in one partition) -> one vectorized pivot per partition, which
+    keeps only its own top_n candidates — the driver concatenates
+    ``partitions x top_n`` rows and cuts the global top_n. Documents never move; the shuffle is
     term partials."""
     from collections import Counter
 
-    from dataprof_ray.pipelines.partitioning import (DEFAULT_PARTITIONS,
-                                                     arrow_out,
-                                                     column_hashes)
     from dataprof_ray.pipelines.textstats import _WS_SPLIT
-
-    parts = partitions or DEFAULT_PARTITIONS
 
     def partials(side: int):
         def f(batch: pa.Table) -> pa.Table:
@@ -223,18 +220,14 @@ def vocab_drift(ds_a, ds_b, text_col: str = "text", top_n: int = 30,
                 if toks == [""]:
                     continue
                 counts.update(toks)
-            terms = pa.array(list(counts.keys()), pa.string())
-            part = (column_hashes(terms) % np.uint64(parts)).astype(np.int32) \
-                if len(terms) else np.empty(0, dtype=np.int32)
             return pa.table({
-                "term": terms,
+                "term": pa.array(list(counts.keys()), pa.string()),
                 "n": pa.array(list(counts.values()), pa.int64()),
-                "side": pa.array(np.full(len(terms), side, np.int8)),
-                "__part": pa.array(part, pa.int32()),
+                "side": pa.array(np.full(len(counts), side, np.int8)),
             })
         return f
 
-    tagged = (ds_a.select_columns([text_col])
+    rows = (ds_a.select_columns([text_col])
               .map_batches(partials(0), batch_format="pyarrow")
               .union(ds_b.select_columns([text_col])
                      .map_batches(partials(1), batch_format="pyarrow")))
@@ -254,9 +247,9 @@ def vocab_drift(ds_a, ds_b, text_col: str = "text", top_n: int = 30,
                               ascending=[False, True]).head(top_n)
         return out.drop(columns="__abs")
 
-    cand = (tagged.groupby("__part")
-            .map_groups(arrow_out(reduce_part), batch_format="pandas")
-            .to_pandas())
+    cand = keyed_exchange(rows, ["term"], reduce_part,
+                          partitions=partitions,
+                          batch_format="pandas").to_pandas()
     if cand.empty:
         return pd.DataFrame({"term": pd.Series([], dtype=str),
                              "n_a": pd.Series([], dtype=np.int64),

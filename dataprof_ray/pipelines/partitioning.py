@@ -6,8 +6,15 @@ scheduling that dwarfs the work (9s for 9k single-row groups where one
 pandas pass takes under a second). Every keyed-state operator therefore
 partitions by ``hash(key) % partitions`` (64 coarse groups regardless of
 key cardinality) and processes ALL keys of a partition in one vectorized
-pandas transform. Correctness only needs all rows of one key to co-locate,
+transform. Correctness only needs all rows of one key to co-locate,
 which any deterministic key hash gives.
+
+:func:`keyed_exchange` is the one way to exchange rows by user key: it
+tags each row with the int32 partition surrogate, groups on that alone
+(so Ray's sort shuffle never compares user values — a NULL string key
+would break its comparator), and hands each partition to the caller's
+reduce. Operators that partition on a hash they compute themselves
+(dedup bands, join salting) tag ``__part`` directly.
 """
 
 from __future__ import annotations
@@ -44,12 +51,32 @@ def multikey_parts(batch: pa.Table, keys: Sequence[str],
     return (h % np.uint64(partitions)).astype(np.int32)
 
 
-def add_part_column(batch: pa.Table, keys: Sequence[str],
-                    partitions: int = DEFAULT_PARTITIONS,
-                    col: str = "__part") -> pa.Table:
-    """Append the coarse partition id as ``col`` (map_batches-ready)."""
-    return batch.append_column(
-        col, pa.array(multikey_parts(batch, keys, partitions), pa.int32()))
+def keyed_exchange(ds, keys: Sequence[str], fn, *,
+                   partitions: int = DEFAULT_PARTITIONS,
+                   batch_format: str = "pyarrow"):
+    """Co-locate every row of one ``keys`` value and run ``fn`` once per
+    coarse partition: ``map_groups`` over ``multikey_parts(keys) %
+    partitions`` (``None`` means ``DEFAULT_PARTITIONS``). ``fn`` gets the
+    partition as ``batch_format`` without the surrogate column; a
+    DataFrame it returns becomes metadata-free Arrow (see ``arrow_out``).
+    The tagged input drops its schema metadata too, so the shuffle can
+    hash block schemas. NULL keys co-locate like any other value. Returns
+    the lazy Dataset of ``fn``'s outputs."""
+    keys = list(keys)
+    parts = partitions or DEFAULT_PARTITIONS
+
+    def tag(batch: pa.Table) -> pa.Table:
+        return batch.replace_schema_metadata(None).append_column(
+            "__part", pa.array(multikey_parts(batch, keys, parts), pa.int32()))
+
+    def untag(group):
+        if isinstance(group, pa.Table):
+            return fn(group.drop_columns(["__part"]))
+        return fn(group.drop(columns="__part"))
+
+    return (ds.map_batches(tag, batch_format="pyarrow")
+            .groupby("__part")
+            .map_groups(arrow_out(untag), batch_format=batch_format))
 
 
 def arrow_out(fn):

@@ -10,9 +10,10 @@ equal-population bucketing (NTILE) of scores before mixture weighting.
 Scale design — three bounded passes, never a global sort
 materialization on one worker:
 
-1. SKETCH: per-batch :class:`~dataprof_ray.state.quantile_sketch.
-   QuantileSketch` partials (<= k points each) are folded on the driver
-   into split cut points. Driver memory O(batches x k) floats.
+1. SKETCH: ``aggregate.sketch_from_column`` folds per-block
+   :class:`~dataprof_ray.state.quantile_sketch.QuantileSketch` partials
+   (<= k points each) on the driver into split cut points. Driver
+   memory O(blocks x k) floats.
 2. COUNT: exact per-split row counts (vectorized ``searchsorted`` +
    ``bincount`` per batch, small driver fold) -> exclusive prefix
    offsets over splits in output order, broadcast once with
@@ -38,7 +39,7 @@ import pyarrow as pa
 
 from dataprof_ray.pipelines.partitioning import (DEFAULT_PARTITIONS,
                                                  nullable_cogroup)
-from dataprof_ray.state.quantile_sketch import QuantileSketch
+from dataprof_ray.pipelines.aggregate import sketch_from_column
 
 
 def _ntile_of(rank0: np.ndarray, total: int, n: int) -> np.ndarray:
@@ -103,19 +104,9 @@ def global_rank(
             raise ValueError(f"global_rank: order column {by!r} has nulls")
         return col.to_numpy(zero_copy_only=False).astype(np.float64)
 
-    # ---- pass 1: sketch partials -> split cut points -----------------
-    def sk_partial(batch: pa.Table) -> pa.Table:
-        sk = QuantileSketch(k=sketch_k).update_array(_values(batch))
-        return pa.table({"v": pa.array(sk.values, pa.float64()),
-                         "w": pa.array(sk.weights, pa.float64())})
-
-    folded = QuantileSketch(k=sketch_k * 4)
-    for part in (ds.map_batches(sk_partial, batch_format="pyarrow")
-                 .iter_batches(batch_format="pyarrow")):
-        folded.merge(QuantileSketch(
-            sketch_k * 4,
-            part.column("v").to_numpy(zero_copy_only=False),
-            part.column("w").to_numpy(zero_copy_only=False)))
+    # ---- pass 1: sketch -> split cut points (they only balance the
+    # splits; ranks stay exact). NULLs raise in pass 2's _values.
+    folded = sketch_from_column(ds, by, sketch_k * 4)
     total = int(round(folded.total_weight))
     if total == 0:
         # map_batches over a zero-block dataset loses the schema; build

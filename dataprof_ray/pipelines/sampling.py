@@ -27,6 +27,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from dataprof_ray.pipelines.partitioning import (keyed_exchange,
+                                                 nullable_cogroup)
 from dataprof_ray.state.accumulators import RESERVOIR_SEED, ReservoirSampler
 
 
@@ -121,40 +123,32 @@ def stratified_sample(ds, keys: Sequence[str], per_key: int,
     null in any key column are EXCLUDED (strategies.rs:121-149 multi-key
     semantics). Deterministic when ``order_col`` is given (smallest first).
 
-    Scale design: strata are COARSE-partitioned by ``hash(keys) %
-    partitions`` and each partition caps ALL of its strata in one
+    Scale design: strata move through one ``keyed_exchange`` on the key
+    hash and each partition caps ALL of its strata in one
     vectorized pandas pass (sort + ``groupby(keys).head``), so Ray
     schedules 64 groups regardless of stratum cardinality (per-stratum Ray
     groups are the measured per-tiny-group hotspot; see
     pipelines.partitioning)."""
-    from dataprof_ray.pipelines.partitioning import (DEFAULT_PARTITIONS,
-                                                     add_part_column,
-                                                     nullable_cogroup)
+    import pyarrow.compute as pc
 
     keys = list(keys)
-    parts = partitions or DEFAULT_PARTITIONS
 
     def cap_partition(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.drop(columns="__part")
         if order_col is not None:
             df = df.sort_values(order_col, kind="mergesort")
         return df.groupby(keys, sort=False).head(per_key)
 
-    def drop_null_keys_add_part(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
-
+    def drop_null_keys(batch: pa.Table) -> pa.Table:
         mask = None
         for k in keys:
             valid = pc.is_valid(batch.column(k))
             mask = valid if mask is None else pc.and_(mask, valid)
-        return add_part_column(batch.filter(mask), keys, parts)
+        return batch.filter(mask)
 
-    return (
-        ds.map_batches(drop_null_keys_add_part, batch_format="pyarrow")
-        .groupby("__part")
-        # nullable_cogroup: payload ints with nulls must stay ints
-        .map_groups(nullable_cogroup(cap_partition), batch_format="pyarrow")
-    )
+    # nullable_cogroup: payload ints with nulls must stay ints
+    return keyed_exchange(
+        ds.map_batches(drop_null_keys, batch_format="pyarrow"),
+        keys, nullable_cogroup(cap_partition), partitions=partitions)
 
 
 def importance_sample(ds, weight_col: str, threshold: float):
@@ -515,8 +509,7 @@ def shuffle_rank(ds, id_col: str = "doc_id", hex_digits: int = 1,
     offsets = csum - np.repeat(shard_starts, 16 ** eff_sub)
     offsets_ref = ray.put(offsets)
 
-    from dataprof_ray.pipelines.partitioning import (DEFAULT_PARTITIONS,
-                                                     nullable_cogroup)
+    from dataprof_ray.pipelines.partitioning import DEFAULT_PARTITIONS
 
     # COARSE-partition the rank: one Ray group per hash bucket of
     # subshards (64 vectorized pandas tasks), never one per subshard

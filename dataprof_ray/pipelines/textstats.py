@@ -17,6 +17,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from dataprof_ray.pipelines.partitioning import keyed_exchange
+
 _WS_SPLIT = re.compile(r"\s+")
 
 # per-worker-process cache for ray.put broadcasts consumed by stateless
@@ -301,10 +303,10 @@ def doc_frequency(ds, k: int = 50, text_col: str = "text",
     definition as ``top_terms``: lowercase, split on ``\\s+``).
 
     Scale design: per-batch partial df Counters over per-doc UNIQUE tokens
-    (the exchange moves term partials, never documents), COARSE-partitioned
-    by term hash (pipelines.partitioning — Ray's per-term groups are the
-    measured per-tiny-group hotspot top_ngrams tolerates only because its
-    partial vocabulary is small). Each partition reduces and keeps its own
+    (the exchange moves term partials, never documents), through one
+    ``keyed_exchange`` on the term (pipelines.partitioning — Ray's
+    per-term groups are the measured per-tiny-group hotspot top_ngrams
+    tolerates only because its partial vocabulary is small). Each partition reduces and keeps its own
     top-k (a term lives wholly in one partition, so the global top-k is a
     driver-side merge of 64 x k candidate rows)."""
     import math
@@ -313,9 +315,7 @@ def doc_frequency(ds, k: int = 50, text_col: str = "text",
     import pandas as pd
 
     from dataprof_ray.pipelines.aggregate import round_away
-    from dataprof_ray.pipelines.partitioning import arrow_out, DEFAULT_PARTITIONS
 
-    parts = partitions or DEFAULT_PARTITIONS
     n_docs = ds.count()
 
     def partials(batch: pa.Table) -> pa.Table:
@@ -332,23 +332,14 @@ def doc_frequency(ds, k: int = 50, text_col: str = "text",
         return pa.table({"term": pa.array(terms, pa.string()),
                          "df": pa.array(values, pa.int64())})
 
-    def add_part(batch: pa.Table) -> pa.Table:
-        from dataprof_ray.pipelines.partitioning import add_part_column
-
-        return add_part_column(batch, ["term"], parts)
-
     def reduce_topk(df: pd.DataFrame) -> pd.DataFrame:
         tot = df.groupby("term", as_index=False, sort=False)["df"].sum()
         return (tot.sort_values(["df", "term"], ascending=[False, True])
                 .head(k))
 
-    cand = (
-        ds.map_batches(partials, batch_format="pyarrow")
-        .map_batches(add_part, batch_format="pyarrow")
-        .groupby("__part")
-        .map_groups(arrow_out(reduce_topk), batch_format="pandas")
-        .to_pandas()
-    )
+    cand = keyed_exchange(ds.map_batches(partials, batch_format="pyarrow"),
+                          ["term"], reduce_topk, partitions=partitions,
+                          batch_format="pandas").to_pandas()
     out = (cand.sort_values(["df", "term"], ascending=[False, True])
            .head(k).reset_index(drop=True)
            .rename(columns={"df": "doc_freq"}))

@@ -9,13 +9,13 @@ windowing a training-data/event pipeline needs, Ray-Data-first:
   vectorized), then the pre-aggregated groupby from pipelines.aggregate —
   the shuffle moves (key, window) partials, never events.
 - session windows: inactivity-gap sessionization over COARSE hash(key)
-  partitions — all keys of a partition sessionized in one vectorized
-  pandas pass (per-key Ray groups measured 9s on 9k keys; see
-  pipelines.partitioning). Partitioning assumption: ONE KEY'S events fit
-  in a single worker (the standard keyed-state contract — at 100 TB a
-  single user's events are MBs, not the corpus). Watermark-style late-data
-  handling is not claimed: sessions are computed over the complete keyed
-  group, which batch pipelines have.
+  partitions (``partitioning.keyed_exchange``) — all keys of a partition
+  sessionized in one vectorized pandas pass (per-key Ray groups measured
+  9s on 9k keys; see pipelines.partitioning). Partitioning assumption:
+  ONE KEY'S events fit in a single worker (the standard keyed-state
+  contract — at 100 TB a single user's events are MBs, not the corpus).
+  Watermark-style late-data handling is not claimed: sessions are
+  computed over the complete keyed group, which batch pipelines have.
 """
 
 from __future__ import annotations
@@ -28,6 +28,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from dataprof_ray.pipelines.aggregate import preagg_groupby, round_away
+from dataprof_ray.pipelines.partitioning import (keyed_exchange,
+                                                 nullable_cogroup)
 
 _UNITS = {"hour": "h", "day": "D", "minute": "m"}
 
@@ -150,26 +152,19 @@ def session_window(
     zero gap regardless of sort order, so ordering ties cannot move a
     session boundary.
 
-    Scale design: events are COARSE-partitioned by ``hash(key) %
-    partitions`` (64 groups regardless of key cardinality) and every
+    Scale design: events move through one ``keyed_exchange`` on the key
+    hash (64 groups regardless of key cardinality) and every
     partition sessionizes ALL of its keys in one vectorized pandas pass —
     one sort by (key, ts) + one cumsum over key-change/gap breaks — instead
     of one Ray group invocation per key (the measured per-tiny-group
     hotspot). Partitioning assumption: one KEY's events fit in a worker
     (the standard keyed-state contract)."""
-    import pyarrow.compute as pc
-
-    from dataprof_ray.pipelines.partitioning import (arrow_out, DEFAULT_PARTITIONS,
-                                                     add_part_column)
-
-    parts = partitions or DEFAULT_PARTITIONS
     gap = np.timedelta64(int(gap_seconds * 1_000_000), "us")
 
-    def drop_nulls_add_part(batch: pa.Table) -> pa.Table:
+    def drop_nulls(batch: pa.Table) -> pa.Table:
         mask = pc.and_(pc.is_valid(batch.column(key)),
                        pc.is_valid(batch.column(ts_col)))
-        return add_part_column(batch.select([key, ts_col]).filter(mask),
-                               [key], parts)
+        return batch.select([key, ts_col]).filter(mask)
 
     def sessionize_partition(df: pd.DataFrame) -> pd.DataFrame:
         g = df.sort_values([key, ts_col], kind="mergesort")
@@ -197,11 +192,9 @@ def session_window(
         agg["n_events"] = agg["n_events"].astype(np.int64)
         return agg
 
-    out = (
-        ds.map_batches(drop_nulls_add_part, batch_format="pyarrow")
-        .groupby("__part")
-        .map_groups(arrow_out(sessionize_partition), batch_format="pandas")
-    )
+    out = keyed_exchange(ds.map_batches(drop_nulls, batch_format="pyarrow"),
+                         [key], sessionize_partition, partitions=partitions,
+                         batch_format="pandas")
     if as_dataset:
         return out
     return (out.to_pandas()
@@ -231,25 +224,19 @@ def rolling_window(
     NULLS-grouped peer set; we pin the simpler null -> empty-frame
     contract and the oracle filters null ts).
 
-    Scale design: COARSE hash(key) partitions (see pipelines.partitioning);
-    within a partition, rows sort once by (key, ts) and every key group is
+    Scale design: one ``keyed_exchange`` on the key hash; within a
+    partition, rows sort once by (key, ts) and every key group is
     answered by two vectorized ``searchsorted`` calls against its slice
     plus a prefix-sum difference — O(rows log rows) per partition, no
     per-pair expansion, output rides the partition (one shuffle total).
     Returns a Dataset with the input columns plus ``w_cnt`` /
     ``w_sum_cents``."""
-    from dataprof_ray.pipelines.partitioning import (DEFAULT_PARTITIONS,
-                                                     add_part_column,
-                                                     nullable_cogroup)
-
-    parts = partitions or DEFAULT_PARTITIONS
     window = pd.Timedelta(window)
     if window < pd.Timedelta(0):
         raise ValueError(f"window must be non-negative, got {window}")
     win_np = window.to_timedelta64()
 
     def per_partition(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.drop(columns="__part")
         valid = df[df[ts_col].notna()].sort_values(
             [key, ts_col], kind="stable")
         skipped = df.drop(valid.index)
@@ -278,14 +265,10 @@ def rolling_window(
             out = pd.concat([out, skipped], ignore_index=True)
         return out
 
-    return (
-        ds.map_batches(lambda b: add_part_column(b, [key], parts),
-                       batch_format="pyarrow")
-        .groupby("__part")
-        # nullable_cogroup: payload int/bool columns with nulls must not
-        # launder to float64 through the pandas conversion
-        .map_groups(nullable_cogroup(per_partition), batch_format="pyarrow")
-    )
+    # nullable_cogroup: payload int/bool columns with nulls must not
+    # launder to float64 through the pandas conversion
+    return keyed_exchange(ds, [key], nullable_cogroup(per_partition),
+                          partitions=partitions)
 
 
 def cumulative_window(
@@ -303,33 +286,23 @@ def cumulative_window(
     id), or the ROWS frame is non-deterministic on ties in BOTH engines.
     Integer cents keep the running sum exact (see ``rolling_window``).
 
-    Scale design: identical exchange to ``rolling_window`` — coarse
-    hash(key) partitions, one sort + one vectorized pandas groupby-cumsum
+    Scale design: identical exchange to ``rolling_window`` — one
+    ``keyed_exchange``, one sort + one vectorized pandas groupby-cumsum
     per partition; output rides the partition. The running state never
     spans partitions because a key lives entirely in one."""
-    from dataprof_ray.pipelines.partitioning import (DEFAULT_PARTITIONS,
-                                                     add_part_column,
-                                                     nullable_cogroup)
-
-    parts = partitions or DEFAULT_PARTITIONS
     order_extra = list(order_extra)
 
     def per_partition(df: pd.DataFrame) -> pd.DataFrame:
-        df = (df.drop(columns="__part")
-              .sort_values([key, ts_col] + order_extra, kind="stable"))
+        df = df.sort_values([key, ts_col] + order_extra, kind="stable")
         g = df.groupby(key, sort=False, dropna=False)
         df["r_cnt"] = g.cumcount().to_numpy() + 1
         if value_cents_col is not None:
             df["r_sum_cents"] = g[value_cents_col].cumsum().astype(np.int64)
         return df
 
-    return (
-        ds.map_batches(lambda b: add_part_column(b, [key], parts),
-                       batch_format="pyarrow")
-        .groupby("__part")
-        # nullable_cogroup: see rolling_window
-        .map_groups(nullable_cogroup(per_partition), batch_format="pyarrow")
-    )
+    # nullable_cogroup: see rolling_window
+    return keyed_exchange(ds, [key], nullable_cogroup(per_partition),
+                          partitions=partitions)
 
 
 def lag_delta(ds, ts_col: str, key: str, order_extra: Sequence[str] = (),
@@ -344,8 +317,8 @@ def lag_delta(ds, ts_col: str, key: str, order_extra: Sequence[str] = (),
     timestamp pass through with null prev/gap (the SQL oracle filters
     them; a NULLS-grouped LAG partition is rarely what anyone means).
 
-    Scale design: identical exchange to ``rolling_window`` — coarse
-    hash(key) partitions, one sort + one vectorized groupby-shift per
+    Scale design: identical exchange to ``rolling_window`` — one
+    ``keyed_exchange``, one sort + one vectorized groupby-shift per
     partition; output rides the partition. Integer microseconds (not
     float seconds) keep the gap exact and oracle-matchable."""
     return _shift_delta(ds, ts_col, key, order_extra, partitions,
@@ -359,7 +332,7 @@ def lead_delta(ds, ts_col: str, key: str, order_extra: Sequence[str] = (),
     row) and the exact integer microsecond gap ``gap_us = next - cur``
     (time-to-next-event — the dwell/abandonment feature). Same total-order
     requirement, same null-row pass-through, same exchange shape as
-    lag_delta (coarse hash(key) partitions, one sort + one vectorized
+    lag_delta (one ``keyed_exchange``, one sort + one vectorized
     groupby-shift per partition)."""
     return _shift_delta(ds, ts_col, key, order_extra, partitions,
                         shift=-1, out_col="next_ts")
@@ -367,15 +340,9 @@ def lead_delta(ds, ts_col: str, key: str, order_extra: Sequence[str] = (),
 
 def _shift_delta(ds, ts_col, key, order_extra, partitions,
                  shift: int, out_col: str):
-    from dataprof_ray.pipelines.partitioning import (DEFAULT_PARTITIONS,
-                                                     add_part_column,
-                                                     nullable_cogroup)
-
-    parts = partitions or DEFAULT_PARTITIONS
     order_extra = list(order_extra)
 
     def per_partition(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.drop(columns="__part")
         valid_mask = df[ts_col].notna() & df[key].notna()
         valid = df[valid_mask].sort_values([key, ts_col] + order_extra,
                                            kind="stable")
@@ -407,10 +374,6 @@ def _shift_delta(ds, ts_col, key, order_extra, partitions,
             out = pd.concat([out, skipped], ignore_index=True)
         return out
 
-    return (
-        ds.map_batches(lambda b: add_part_column(b, [key], parts),
-                       batch_format="pyarrow")
-        .groupby("__part")
-        # nullable_cogroup: see rolling_window
-        .map_groups(nullable_cogroup(per_partition), batch_format="pyarrow")
-    )
+    # nullable_cogroup: see rolling_window
+    return keyed_exchange(ds, [key], nullable_cogroup(per_partition),
+                          partitions=partitions)

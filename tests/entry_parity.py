@@ -47,5 +47,9 @@ def compare(ray_result, con: duckdb.DuckDBPyConnection, sql: str) -> None:
         f"schema mismatch: {list(got.columns)} vs {list(want.columns)}"
     )
     assert len(got) == len(want), f"row count {len(got)} vs {len(want)}"
+    for c in got.columns:  # int, float, bool, string, datetime must agree
+        assert got[c].dtype.kind == want[c].dtype.kind, (
+            f"column {c!r}: dtype kind of {got[c].dtype} vs {want[c].dtype}")
+    # check_dtype=False forgives width only (int32 vs int64)
     pd.testing.assert_frame_equal(got, want, check_dtype=False, check_exact=False,
                                   rtol=0, atol=0)

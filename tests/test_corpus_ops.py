@@ -362,6 +362,9 @@ class TestKeySkew:
         assert out.attrs["total_rows"] == 150
         assert out.attrs["distinct_keys"] == 100
         assert abs(out.iloc[0].share - round(51 / 150, 6)) < 1e-12
+        none = key_skew_stats(_ds(t, 4), ["k"], top_n=0)
+        assert len(none) == 0
+        assert none.attrs == {"total_rows": 150, "distinct_keys": 100}
 
 
 class TestNormalizeText:

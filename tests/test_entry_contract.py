@@ -281,3 +281,20 @@ def test_int_away_half_away_from_zero():
         params=[vals]).fetchall()]
     assert got == exp, (got, exp)
     assert got[0] == 13 and got[1] == -13  # the tie cases pc.round fails
+
+
+def test_compare_rejects_dtype_kind_mismatch():
+    """DuckDB's SUM over integers is HUGEINT, which reaches pandas as
+    float64: an oracle that leaves it uncast must fail against Ray's
+    int64 even though the values agree; the BIGINT cast passes."""
+    import duckdb
+    import numpy as np
+    import pandas as pd
+
+    con = duckdb.connect()
+    got = pd.DataFrame({"s": np.array([3], np.int64)})
+    with pytest.raises(AssertionError, match="dtype kind"):
+        compare(got, con, "SELECT SUM(x) AS s FROM (VALUES (1), (2)) t(x)")
+    compare(got, con,
+            "SELECT CAST(SUM(x) AS BIGINT) AS s FROM (VALUES (1), (2)) t(x)")
+    con.close()

@@ -347,3 +347,110 @@ def test_winsorized_and_robust_stats_zero_rows(ray_session, tmp_path):
         assert out[stats].isna().all().all()
     assert rob["n_outliers"].dtype == np.int64
     assert (rob["n_outliers"] == 0).all()
+
+
+def test_null_string_keys_across_many_blocks(ray_session):
+    """A string key that is mostly NULL, spread over 16 blocks of one
+    batch each: the exchange must never compare user key values (Ray's
+    sort shuffle raised TypeError comparing None with str). The default
+    batch_size would fold all 8,000 rows into one partial batch and hide
+    it, so every block is its own batch here."""
+    import pyarrow as pa
+    import ray.data as rd
+
+    from dataprof_ray.pipelines.aggregate import preagg_groupby
+
+    rng = np.random.default_rng(7)
+    tables = []
+    for _ in range(16):
+        cat = rng.choice(["a", "b", "c", "d"], 500).astype(object)
+        cat[rng.random(500) < 0.6] = None
+        tables.append(pa.table({
+            "region": pa.array(rng.choice(["n", "s", "e"], 500)),
+            "cat": pa.array(cat.tolist(), pa.string()),
+            "val": pa.array(rng.integers(0, 100, 500), pa.int64())}))
+    ds = rd.from_arrow(tables)
+    df = pa.concat_tables(tables).to_pandas()
+    aggs = "COUNT(*) AS cnt, SUM(val) AS s, MIN(val) AS lo, MAX(val) AS hi"
+
+    def check(ours, sql):
+        a, b = _norm(ours), _norm(_duck(df, sql))
+        pd.testing.assert_frame_equal(a[sorted(a.columns)],
+                                      b[sorted(b.columns)], check_dtype=False)
+
+    for keys in (["region", "cat"], ["cat"]):
+        k = ", ".join(keys)
+        check(preagg_groupby(ds, keys, SPECS, batch_size=None),
+              f"SELECT {k}, {aggs} FROM t GROUP BY {k}")
+    check(rollup_aggregate(ds, ["region", "cat"], SPECS, batch_size=None),
+          f"SELECT region, cat, {aggs}, CAST(GROUPING(region, cat) AS BIGINT)"
+          " AS grouping_id FROM t GROUP BY ROLLUP(region, cat)")
+
+
+def test_max_bracket_is_per_column_and_quantile(ray_session):
+    """Each (column, quantile) pair has the whole max_bracket: two
+    ~1,000-value brackets pass under 1,500 in one call, and a call whose
+    one pair is over budget fails naming that column."""
+    import ray.data as rd
+
+    from dataprof_ray.functions.kernels import quantile_type7
+    from dataprof_ray.pipelines.aggregate import exact_column_quantiles
+
+    rng = np.random.default_rng(3)
+    n = 10_000
+    df = pd.DataFrame({"a": rng.normal(0, 1, n), "b": rng.normal(5, 2, n),
+                       "c": rng.normal(0, 1, n)})
+    df.loc[rng.random(n) < 0.9, "c"] = np.nan  # ~100 values in its bracket
+    ds = rd.from_pandas(df).repartition(4).materialize()
+
+    res = exact_column_quantiles(ds, {"a": [0.5], "b": [0.5]}, slack=0.05,
+                                 max_bracket=1500)
+    for c in "ab":
+        assert res[c][0.5] == (quantile_type7(np.sort(df[c]), 0.5), n)
+    with pytest.raises(MemoryError, match="'a'"):
+        exact_column_quantiles(ds, {"a": [0.5], "c": [0.5]}, slack=0.05,
+                               max_bracket=500)
+    assert exact_column_quantiles(ds, {"c": [0.5]}, slack=0.05,
+                                  max_bracket=500)["c"][0.5][1] == \
+        df["c"].notna().sum()
+
+
+@pytest.mark.parametrize("ncols", [1, 3])
+def test_robust_stats_executions_do_not_grow_with_columns(ray_session,
+                                                          monkeypatch,
+                                                          ncols):
+    """winsorized_stats is sketch + bracket + fold, robust_outlier_stats
+    is median (sketch + bracket) + MAD (sketch + bracket) + fence count,
+    whatever the number of columns."""
+    import ray.data as rd
+    from ray.data._internal.execution.streaming_executor import (
+        StreamingExecutor)
+
+    from dataprof_ray.pipelines.aggregate import (robust_outlier_stats,
+                                                  winsorized_stats)
+
+    rng = np.random.default_rng(19)
+    cols = [f"c{i}" for i in range(ncols)]
+    df = pd.DataFrame({c: rng.normal(i, 1 + i, 20_000)
+                       for i, c in enumerate(cols)})
+    ds = rd.from_pandas(df).repartition(4).materialize()
+    executions = []
+    orig = StreamingExecutor.execute
+
+    def counted(executor, dag, *args, **kwargs):
+        executions.append(dag)
+        return orig(executor, dag, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counted)
+    win = winsorized_stats(ds, cols)
+    assert len(executions) == 3
+    executions.clear()
+    rob = robust_outlier_stats(ds, cols)
+    assert len(executions) == 5
+    assert win["column_name"].tolist() == rob["column_name"].tolist() == cols
+    for c in cols:
+        v = df[c].to_numpy()
+        med = np.quantile(v, 0.5)
+        r = rob.set_index("column_name").loc[c]
+        assert abs(r["median"] - med) < 1e-3
+        assert abs(r["mad"] - np.quantile(np.abs(v - med), 0.5)) < 1e-3

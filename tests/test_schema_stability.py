@@ -181,3 +181,34 @@ def test_chunk_documents_random_coverage_property(ray_session):
         assert rebuilt == toks
     docs_with_tokens = {i for i, x in enumerate(texts) if x.split()}
     assert set(out["doc_id"]) == docs_with_tokens
+
+
+def test_keyed_exchange_strips_schema_metadata(ray_session):
+    """A pandas-sourced input carries b'pandas' schema metadata, which
+    makes block schemas unhashable in the shuffle ("Failed to hash the
+    schemas"). The tagged blocks, hence every partition ``fn`` sees, carry
+    none and no ``__part``; neither does a DataFrame ``fn`` returns."""
+    import ray.data as rd
+
+    from dataprof_ray.pipelines.partitioning import keyed_exchange
+
+    df = pd.DataFrame({"k": ["a", "b", None, "c"] * 10, "v": range(40)})
+    ds = rd.from_pandas(df).repartition(3)
+
+    def seen(t: pa.Table) -> pa.Table:
+        return pa.table({"no_meta": [t.schema.metadata is None],
+                         "cols": [",".join(t.column_names)],
+                         "n": [t.num_rows]})
+
+    out = keyed_exchange(ds, ["k"], seen, partitions=4).to_pandas()
+    assert out["no_meta"].all()
+    assert set(out["cols"]) == {"k,v"}
+    assert out["n"].sum() == 40
+    frames = keyed_exchange(ds, ["k"], lambda d: d, partitions=4,
+                            batch_format="pandas")
+    got = 0
+    for b in frames.iter_batches(batch_format="pyarrow", batch_size=None):
+        assert b.schema.metadata is None
+        assert b.column_names == ["k", "v"]
+        got += b.num_rows
+    assert got == 40
