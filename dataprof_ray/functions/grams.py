@@ -4,8 +4,9 @@ decontamination operators.
 One polars pass per batch replaces the per-document ``re.split`` +
 list-comprehension + per-doc ``pl.Series(...).hash()`` loop that dominated
 those operators' CPU (the reference's gram kernels are per-row Rust loops,
-e.g. ``crates/core/src/analysis.rs`` tokenize paths; here the whole batch is
-normalized, tokenized, windowed and hashed in columnar calls).
+e.g. the tokenize paths under ``crates/dataprof-metrics/src/analysis/``;
+here the whole batch is normalized, tokenized, windowed and hashed in
+columnar calls).
 
 Contract (MUST match the Python reference kernels ``dedup._wordgram_hashes``
 and ``decontam._doc_ngrams`` exactly — parity is pinned by

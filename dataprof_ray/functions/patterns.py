@@ -18,11 +18,13 @@ from __future__ import annotations
 
 import ipaddress
 import re
-import warnings
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
 
 CONTACT = "Contact"
 IDENTIFIER = "Identifier"
@@ -238,36 +240,65 @@ def compute_confidence(specificity: int, match_percentage: float, validator_pass
     return min(max(base * match_factor * validator_pass_rate, 0.0), 1.0)
 
 
+# RE2 (pyarrow.compute) and Python ``re`` read these detectors alike over
+# printable ASCII plus tab, form feed and CR: there \d, \w and \s mean the
+# same to both, and a trimmed value never ends in the newline that Python's
+# ``$`` would accept. A value with any other character (a non-ASCII digit,
+# letter or space, \v, \x1c-\x1f, a newline, a control) goes to ``re``.
+_RE2_SAFE = r"^[\t\f\r -~]*$"
+
+
+def _match_bitmaps(values: list[str]) -> np.ndarray:
+    """(detector x value) search results: RE2 over the RE2-safe values in
+    one Arrow call per detector, Python ``re`` over the rest."""
+    bitmaps = np.zeros((len(PATTERN_DEFS), len(values)), dtype=bool)
+    arr = pa.array(values, pa.string())
+    safe_mask = pc.match_substring_regex(arr, _RE2_SAFE)
+    safe_values = arr.filter(safe_mask)
+    safe = safe_mask.to_numpy(zero_copy_only=False)
+    rest = [(j, values[j]) for j in np.nonzero(~safe)[0].tolist()]
+    for k, (def_, rx) in enumerate(zip(PATTERN_DEFS, _COMPILED)):
+        if len(safe_values):
+            bitmaps[k, safe] = pc.match_substring_regex(
+                safe_values, def_.regex).to_numpy(zero_copy_only=False)
+        for j, v in rest:
+            bitmaps[k, j] = rx.search(v) is not None
+    return bitmaps
+
+
 def detect_patterns(data: list[str], locale: Optional[str] = None) -> list[Pattern]:
-    """Column-level pattern detection over (typically sampled) string values.
+    """Column-level pattern detection over (typically sampled) string values:
+    ``detect_patterns_counts`` over the distinct trimmed values."""
+    counts = Counter(str(v).strip() for v in data)
+    return detect_patterns_counts(list(counts), np.fromiter(counts.values(), np.int64,
+                                                            len(counts)), locale)
 
-    Vectorized: one pandas str.contains pass per detector builds the per-row
-    bitmaps the overlap/locale phases need (patterns.rs:489-686).
-    """
-    import pandas as pd
 
+def detect_patterns_counts(values: list[str], counts, locale: Optional[str] = None) -> list[Pattern]:
+    """Pattern detection over trimmed sample values given once each with
+    their ``counts`` (patterns.rs:489-686). Every detector and validator
+    runs once per entry; match counts, overlaps and pass rates are weighted
+    by the counts, so the result is the one a per-row scan would give."""
     normalized_locale = None
     if locale is not None and locale.strip():
         normalized_locale = locale.strip().upper()
 
-    s = pd.Series(data, dtype="object").astype(str).str.strip()
-    s = s[s != ""]
-    if s.empty:
+    keep = [i for i, v in enumerate(values) if v]
+    values = [values[i] for i in keep]
+    counts = np.asarray(counts, dtype=np.int64)[keep]
+    n = int(counts.sum())
+    if n == 0:
         return []
-    n = len(s)
-    values = s.to_numpy()
 
     candidates = []  # (def, match_count, match_pct, bitmap, validator_rate)
-    for def_, rx in zip(PATTERN_DEFS, _COMPILED):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", UserWarning)  # pandas warns on match groups
-            bitmap = s.str.contains(rx, regex=True).to_numpy()
-        match_count = int(bitmap.sum())
+    for def_, bitmap in zip(PATTERN_DEFS, _match_bitmaps(values)):
+        match_count = int(counts[bitmap].sum())
         match_pct = match_count / n * 100.0
         if match_pct <= def_.min_threshold:
             continue
         if def_.validator is not None and match_count > 0:
-            passed = sum(1 for v in values[bitmap] if def_.validator(v))
+            hits = np.nonzero(bitmap)[0].tolist()
+            passed = sum(int(counts[j]) for j in hits if def_.validator(values[j]))
             rate = passed / match_count
         else:
             rate = 1.0
@@ -287,7 +318,7 @@ def detect_patterns(data: list[str], locale: Optional[str] = None) -> list[Patte
             b_def, b_count, _, b_bitmap, _ = candidates[b_idx]
             if a_def.specificity <= b_def.specificity or b_count == 0:
                 continue
-            overlap = int(np.count_nonzero(a_bitmap & b_bitmap))
+            overlap = int(counts[a_bitmap & b_bitmap].sum())
             if overlap / b_count >= 0.80:
                 suppressed[b_idx] = True
 

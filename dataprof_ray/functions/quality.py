@@ -23,9 +23,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
 
 from dataprof_ray.functions import kernels as K
 
@@ -263,9 +266,98 @@ def quality_from_dict(d: dict) -> "QualityMetrics":
 # ------------------------------------------------------------------ calculators
 #
 # All calculators take:
-#   data:     dict[column -> list[str]] — the merged reservoir sample
+#   data:     dict[column -> ColumnSample] — the merged reservoir sample,
+#             dictionary-encoded (a plain list of strings is encoded first)
 #   profiles: list of profile-like objects with .name .data_type .null_count
 #             .total_count .unique_count .unique_count_is_approximate .patterns
+#
+# Every predicate runs once per distinct sample value and is weighted by that
+# value's count. Only the order-sensitive checks — the first-50 mixed date
+# formats, the start/end pairs and the sample row duplicates — read the
+# sample order, through ``ColumnSample.codes``.
+
+
+def _floats(fn, texts: list) -> np.ndarray:
+    """``fn`` of each text, NaN where it gives None."""
+    out = np.full(len(texts), np.nan)
+    for i, t in enumerate(texts):
+        v = fn(t)
+        if v is not None:
+            out[i] = v
+    return out
+
+
+class ColumnSample:
+    """A column's sample, dictionary-encoded: ``values`` are the distinct
+    rendered strings, ``counts`` how often each occurs, and ``codes`` the
+    sample in its order as indices into ``values``. The per-distinct facts
+    the calculators share are computed once, on first use, by the same
+    kernel predicates the per-value checks called."""
+
+    def __init__(self, values: list, codes: np.ndarray) -> None:
+        self.values = values
+        self.codes = codes
+        self.counts = np.bincount(codes, minlength=len(values))
+
+    @classmethod
+    def encode(cls, arr, render=None) -> "ColumnSample":
+        """Encode an Arrow array of raw sample values. ``render`` maps a
+        distinct raw value to its string; raw values that render alike
+        (``-0.0`` and ``0.0``, two instants in one second) merge."""
+        enc = pc.dictionary_encode(arr)
+        codes = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
+        if render is None:
+            return cls(enc.dictionary.to_pylist(), codes)
+        rendered = pa.array([render(v) for v in enc.dictionary.to_pylist()], pa.string())
+        again = pc.dictionary_encode(rendered)
+        codes = again.indices.to_numpy(zero_copy_only=False).astype(np.int64)[codes]
+        return cls(again.dictionary.to_pylist(), codes)
+
+    @classmethod
+    def from_list(cls, values: list) -> "ColumnSample":
+        return cls.encode(pa.array(values, pa.string()))
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def total(self, mask: np.ndarray) -> int:
+        """How many sample values have a distinct value where ``mask`` holds."""
+        return int(self.counts[mask].sum())
+
+    def holds(self, pred, raw: bool = False) -> np.ndarray:
+        """``pred`` of each distinct trimmed (or ``raw``) value."""
+        texts = self.values if raw else self.stripped
+        return np.fromiter((bool(pred(t)) for t in texts), dtype=bool, count=len(texts))
+
+    def first_codes(self, mask: np.ndarray, n: int) -> np.ndarray:
+        """Codes of the first ``n`` sample values, in sample order, whose
+        distinct value is in ``mask``."""
+        return self.codes[mask[self.codes]][:n]
+
+    @cached_property
+    def stripped(self) -> list:
+        return [v.strip() for v in self.values]
+
+    @cached_property
+    def null_like(self) -> np.ndarray:
+        return self.holds(K.is_null_like_token)
+
+    @cached_property
+    def finite_f64(self) -> np.ndarray:
+        """``K.parse_finite_f64`` of the trimmed value; NaN where it fails."""
+        return _floats(K.parse_finite_f64, self.stripped)
+
+    @cached_property
+    def raw_year(self) -> np.ndarray:
+        """``K.parse_raw_datetime_year`` of the untrimmed value; NaN where
+        it fails."""
+        return _floats(K.parse_raw_datetime_year, self.values)
+
+
+def _encoded(data: dict) -> dict:
+    return {name: col if isinstance(col, ColumnSample) else ColumnSample.from_list(col)
+            for name, col in data.items()}
+
 
 _DATE_VALIDATION_RES = [
     __import__("re").compile(p)
@@ -284,6 +376,9 @@ _DATE_FORMAT_RES = [
 ]
 
 _ENCODING_ARTIFACTS = ("Ã¡", "Ã©", "Ã­", "Ã³", "Ãº", "Ã±", "Ã§")
+# a value with U+FFFD or any artifact, as one substring search
+_ENCODING_RE = __import__("re").compile(
+    "|".join(__import__("re").escape(a) for a in ("\ufffd",) + _ENCODING_ARTIFACTS))
 
 
 def is_valid_date_format(value: str) -> bool:
@@ -309,42 +404,39 @@ def calc_completeness_from_profiles(profiles, config: IsoQualityConfig) -> Compl
 
 
 def calc_consistency(data: dict, profiles) -> ConsistencyMetrics:
+    data = _encoded(data)
     by_name = {p.name: p for p in profiles}
     total = 0
     consistent = 0
     for name, profile in by_name.items():
-        values = data.get(name)
-        if values is None:
+        col = data.get(name)
+        if col is None:
             continue
-        for value in values:
-            trimmed = value.strip()
-            if K.is_null_like_token(trimmed):
-                continue
-            total += 1
-            dt = profile.data_type
-            if dt == K.TYPE_INTEGER:
-                ok = K.parse_i64(trimmed) is not None
-            elif dt == K.TYPE_FLOAT:
-                ok = _parses_f64(trimmed)
-            elif dt == K.TYPE_DATE:
-                ok = is_valid_date_format(trimmed)
-            elif dt == K.TYPE_BOOLEAN:
-                ok = K.parse_strict_boolean_token(trimmed) is not None
-            else:  # String / Identifier
-                ok = (not K.is_likely_date_column(name)) or is_valid_date_format(trimmed)
-            if ok:
-                consistent += 1
+        checked = ~col.null_like
+        total += col.total(checked)
+        consistent += col.total(checked & _type_consistent(name, profile.data_type, col))
     type_consistency = (consistent / total * 100.0) if total else 100.0
 
     violations = 0
     encoding = 0
-    for name, values in data.items():
-        violations += _count_mixed_date_formats(name, values)
-        violations += _count_decimal_separator_violations(values)
-        for v in values:
-            if "�" in v or any(a in v for a in _ENCODING_ARTIFACTS):
-                encoding += 1
+    for name, col in data.items():
+        violations += _count_mixed_date_formats(name, col)
+        violations += _count_decimal_separator_violations(col)
+        encoding += col.total(col.holds(_ENCODING_RE.search, raw=True))
     return ConsistencyMetrics(type_consistency, violations, encoding, total)
+
+
+def _type_consistent(name: str, data_type: str, col: ColumnSample) -> np.ndarray:
+    """Per distinct value: does its trimmed text parse as ``data_type``?"""
+    if data_type == K.TYPE_INTEGER:
+        return col.holds(lambda t: K.parse_i64(t) is not None)
+    if data_type == K.TYPE_FLOAT:
+        return col.holds(_parses_f64)
+    if data_type == K.TYPE_BOOLEAN:
+        return col.holds(lambda t: K.parse_strict_boolean_token(t) is not None)
+    if data_type == K.TYPE_DATE or K.is_likely_date_column(name):
+        return col.holds(is_valid_date_format)
+    return np.ones(len(col.values), dtype=bool)  # String / Identifier
 
 
 def _parses_f64(s: str) -> bool:
@@ -358,15 +450,15 @@ def _parses_f64(s: str) -> bool:
         return False
 
 
-def _count_mixed_date_formats(column_name: str, values: list) -> int:
+def _count_mixed_date_formats(column_name: str, col: ColumnSample) -> int:
     """Minority date formats in a first-50 sample of date-named columns
     (consistency.rs:107-138)."""
     if not K.is_likely_date_column(column_name):
         return 0
+    stripped = col.stripped
     counts: dict[str, int] = {}
-    non_empty = [v for v in values if v.strip()]
-    for value in non_empty[:50]:
-        t = value.strip()
+    for code in col.first_codes(col.holds(bool), 50).tolist():
+        t = stripped[code]
         for fmt_name, rx in _DATE_FORMAT_RES:
             if rx.match(t):
                 counts[fmt_name] = counts.get(fmt_name, 0) + 1
@@ -376,22 +468,22 @@ def _count_mixed_date_formats(column_name: str, values: list) -> int:
     return 0
 
 
-def _count_decimal_separator_violations(values: list) -> int:
+def _count_decimal_separator_violations(col: ColumnSample) -> int:
     """Mixed-separator values + minority of dot-vs-comma decimals
     (consistency.rs:141-181)."""
     dot = comma = violations = 0
-    for value in values:
+    for value, n in zip(col.values, col.counts.tolist()):
         if not value:
             continue
         if "." in value and "," in value:
-            violations += 1
+            violations += n
             continue
         if "." in value:
             if value.count(".") == 1:
-                dot += 1
+                dot += n
         elif "," in value:
             if value.count(",") == 1:
-                comma += 1
+                comma += n
     if dot > 0 and comma > 0:
         violations += min(dot, comma)
     return violations
@@ -412,7 +504,7 @@ def calc_uniqueness(data: dict, profiles, total_rows: int, identifier_columns: l
             row_duplicates.duplicate_rows, row_duplicates.rows_checked, row_duplicates.approximate,
         )
     else:
-        dup, checked = _count_sample_duplicate_rows(data, profiles)
+        dup, checked = _count_sample_duplicate_rows(_encoded(data), profiles)
         approx = False
 
     key_uniqueness, key_column = _key_uniqueness(profiles, identifier_columns)
@@ -431,25 +523,20 @@ def calc_uniqueness(data: dict, profiles, total_rows: int, identifier_columns: l
 
 def _count_sample_duplicate_rows(data: dict, profiles) -> tuple[int, int]:
     """Sample scan refuses misaligned columns -> (0, 0) 'not assessed'
-    (uniqueness.rs:73-122)."""
+    (uniqueness.rs:73-122). Row i of the sample is the i-th value of every
+    column; two rows are equal when their codes are."""
     if not data:
         return 0, 0
-    lengths = {len(v) for v in data.values()}
+    lengths = {len(col) for col in data.values()}
     if len(lengths) != 1:
         return 0, 0
     total = lengths.pop()
     if profiles and profiles[0].total_count != total:
         return 0, 0
-    seen = set()
-    dups = 0
-    cols = list(data.keys())
-    for i in range(total):
-        sig = tuple(data[c][i] for c in cols)
-        if sig in seen:
-            dups += 1
-        else:
-            seen.add(sig)
-    return dups, total
+    if total == 0:
+        return 0, 0
+    rows = np.stack([col.codes for col in data.values()], axis=1)
+    return total - len(np.unique(rows, axis=0)), total
 
 
 def _key_uniqueness(profiles, identifier_columns: list) -> tuple[float, Optional[str]]:
@@ -469,15 +556,18 @@ def _key_uniqueness(profiles, identifier_columns: list) -> tuple[float, Optional
 
 def calc_accuracy(data: dict, profiles, config: IsoQualityConfig,
                   positive_columns: list = ()) -> AccuracyMetrics:
+    data = _encoded(data)
     total_numeric = 0
     total_outliers = 0
     for p in profiles:
         if p.data_type not in (K.TYPE_INTEGER, K.TYPE_FLOAT):
             continue
-        values = data.get(p.name)
-        if not values:
+        col = data.get(p.name)
+        if not col:
             continue
-        nums = _parse_numeric(values)
+        parsed = ~np.isnan(col.finite_f64)
+        # the Tukey count only sorts and compares: the sample order is moot
+        nums = np.repeat(col.finite_f64[parsed], col.counts[parsed])
         if len(nums) < config.outlier_min_samples:
             continue
         total_outliers += K.tukey_outlier_count(nums, config.outlier_iqr_multiplier)
@@ -486,32 +576,16 @@ def calc_accuracy(data: dict, profiles, config: IsoQualityConfig,
 
     range_violations = 0
     numeric_checked = 0
-    for name, values in data.items():
-        v, n = _domain_range_violations(name, values)
+    for name, col in data.items():
+        v, n = _domain_range_violations(name, col)
         range_violations += v
         numeric_checked += n
 
     negatives = 0
-    for name, values in data.items():
+    for name, col in data.items():
         if name in positive_columns:
-            nums = _parse_numeric(values, finite_only=False)
-            negatives += int(np.count_nonzero(nums < 0))
+            negatives += col.total(~col.null_like & (_floats(_try_float, col.stripped) < 0))
     return AccuracyMetrics(outlier_ratio, range_violations, negatives, numeric_checked)
-
-
-def _parse_numeric(values: list, finite_only: bool = True) -> np.ndarray:
-    out = []
-    for v in values:
-        t = v.strip() if isinstance(v, str) else v
-        if isinstance(t, str):
-            if K.is_null_like_token(t):
-                continue
-            f = K.parse_finite_f64(t) if finite_only else _try_float(t)
-            if f is not None:
-                out.append(f)
-        elif t is not None:
-            out.append(float(t))
-    return np.asarray(out, dtype=np.float64)
 
 
 def _try_float(t: str):
@@ -521,34 +595,25 @@ def _try_float(t: str):
         return None
 
 
-def _domain_range_violations(column_name: str, values: list) -> tuple[int, int]:
+def _domain_range_violations(column_name: str, col: ColumnSample) -> tuple[int, int]:
     """age 0-150, percent/rate 0-100, count >=0, year 1900-2100
     (accuracy.rs:156-197)."""
     low = column_name.lower()
-    violations = 0
-    numeric = 0
-    for raw in values:
-        if not isinstance(raw, str):
-            if raw is None:
-                continue
-            num = float(raw)
-        else:
-            if K.is_null_like_token(raw.strip()):
-                continue
-            f = _try_float(raw)
-            if f is None or not np.isfinite(f):
-                continue
-            num = f
-        numeric += 1
-        if "age" in low and not (0.0 <= num <= 150.0):
-            violations += 1
-        if ("percent" in low or "rate" in low) and not (0.0 <= num <= 100.0):
-            violations += 1
-        if "count" in low and num < 0.0:
-            violations += 1
-        if "year" in low and not (1900.0 <= num <= 2100.0):
-            violations += 1
-    return violations, numeric
+    if not len(col):
+        return 0, 0
+    num = _floats(_try_float, col.values)
+    numeric = ~col.null_like & np.isfinite(num)
+    rules = []
+    if "age" in low:
+        rules.append((num < 0.0) | (num > 150.0))
+    if "percent" in low or "rate" in low:
+        rules.append((num < 0.0) | (num > 100.0))
+    if "count" in low:
+        rules.append(num < 0.0)
+    if "year" in low:
+        rules.append((num < 1900.0) | (num > 2100.0))
+    violations = sum(col.total(numeric & bad) for bad in rules)
+    return violations, col.total(numeric)
 
 
 _TEMPORAL_PAIRS = [
@@ -563,56 +628,56 @@ _TEMPORAL_PAIRS = [
 
 def calc_timeliness(data: dict, temporal_columns: list, config: IsoQualityConfig,
                     now_year: Optional[int] = None) -> TimelinessMetrics:
+    data = _encoded(data)
     current_year = now_year if now_year is not None else datetime.now(timezone.utc).year
     threshold_year = current_year - int(config.max_data_age_years)
 
     future = stale = valid = checked = invalid = 0
     for name in temporal_columns:
-        values = data.get(name)
-        if values is None:
+        col = data.get(name)
+        if col is None:
             continue
-        for value in values:
-            if K.is_null_like_token(value.strip() if isinstance(value, str) else value):
-                continue
-            checked += 1
-            year = K.parse_raw_datetime_year(value) if isinstance(value, str) else None
-            if year is not None:
-                valid += 1
-                if year > current_year:
-                    future += 1
-                if year < threshold_year:
-                    stale += 1
-            else:
-                invalid += 1
+        seen = ~col.null_like
+        year = col.raw_year
+        parsed = seen & ~np.isnan(year)
+        checked += col.total(seen)
+        valid += col.total(parsed)
+        invalid += col.total(seen & ~parsed)
+        future += col.total(parsed & (year > current_year))
+        stale += col.total(parsed & (year < threshold_year))
     stale_ratio = (stale / valid * 100.0) if valid else 0.0
 
     violations = pairs = 0
     for start_col, end_col in _TEMPORAL_PAIRS:
-        start_vals = next(
-            (data.get(n) for n in temporal_columns if start_col in n.lower() and data.get(n) is not None),
-            None,
-        )
-        end_vals = next(
-            (data.get(n) for n in temporal_columns if end_col in n.lower() and data.get(n) is not None),
-            None,
-        )
-        if start_vals is None or end_vals is None:
+        start = next((data[n] for n in temporal_columns if start_col in n.lower() and n in data),
+                     None)
+        end = next((data[n] for n in temporal_columns if end_col in n.lower() and n in data),
+                   None)
+        if start is None or end is None:
             continue
-        for s, e in zip(start_vals, end_vals):
-            if K.is_null_like_token(s.strip()) or K.is_null_like_token(e.strip()):
-                continue
-            if K.parse_raw_datetime_year(s) is None or K.parse_raw_datetime_year(e) is None:
-                continue
-            pairs += 1
-            if s > e:  # string comparison works for ISO dates (timeliness.rs:139)
-                violations += 1
+        # the i-th sample values of the two columns form a pair
+        n = min(len(start), len(end))
+        s, e = start.codes[:n], end.codes[:n]
+        both = (_dated(start)[s]) & (_dated(end)[e])
+        # string order works for ISO dates (timeliness.rs:139): rank every
+        # distinct value of both columns once, then compare ranks
+        rank = {v: i for i, v in enumerate(sorted(set(start.values) | set(end.values)))}
+        s_rank = np.array([rank[v] for v in start.values], dtype=np.int64)
+        e_rank = np.array([rank[v] for v in end.values], dtype=np.int64)
+        pairs += int(np.count_nonzero(both))
+        violations += int(np.count_nonzero(both & (s_rank[s] > e_rank[e])))
     return TimelinessMetrics(future, stale_ratio, violations, invalid, checked, pairs)
+
+
+def _dated(col: ColumnSample) -> np.ndarray:
+    return ~col.null_like & ~np.isnan(col.raw_year)
 
 
 def calc_validity(data: dict, profiles) -> ValidityMetrics:
     """Per column with a dominant pattern (conf >= 0.5; tie-break
     confidence -> match_count -> name desc); valid = min(match_count, non_null)
     (validity.rs:20-72)."""
+    data = _encoded(data)
     valid_values = 0
     checked = 0
     for p in profiles:
@@ -623,10 +688,10 @@ def calc_validity(data: dict, profiles) -> ValidityMetrics:
         if not eligible:
             continue
         dominant = max(eligible, key=lambda pt: (pt.confidence, pt.match_count, _neg_str(pt.name)))
-        values = data.get(p.name)
-        if values is None:
+        col = data.get(p.name)
+        if col is None:
             continue
-        non_null = sum(1 for v in values if not K.is_null_like_token(v.strip()))
+        non_null = col.total(~col.null_like)
         if non_null == 0:
             continue
         checked += non_null
@@ -650,24 +715,20 @@ class _neg_str:
 
 
 def calc_precision(data: dict, profiles) -> PrecisionMetrics:
+    data = _encoded(data)
     checked = 0
     inconsistent = 0
     for p in profiles:
         if p.data_type != K.TYPE_FLOAT:
             continue
-        values = data.get(p.name)
-        if not values:
+        col = data.get(p.name)
+        if not col:
             continue
         scales: dict[int, int] = {}
-        for value in values:
-            t = value.strip()
-            if K.is_null_like_token(t):
-                continue
-            if K.parse_finite_f64(t) is None:
-                continue
-            scale = K.decimal_scale(t)
+        for t, n in zip(col.stripped, col.counts.tolist()):
+            scale = K.decimal_scale(t)  # None for null-like and non-finite values
             if scale is not None:
-                scales[scale] = scales.get(scale, 0) + 1
+                scales[scale] = scales.get(scale, 0) + n
         column_count = sum(scales.values())
         dominant = max(scales.values(), default=0)
         checked += column_count

@@ -267,24 +267,6 @@ def _band_rows_ds(ds, text_col, id_col, num_perm, bands, shingle_k,
         batch_format="pyarrow", **kwargs)
 
 
-class MinHashStage:
-    """Actor-pool form of :func:`minhash_band_rows` (kept for pipelines
-    that want a pinned pool; the default paths use the stateless stage)."""
-
-    def __init__(self, text_col: str, id_col: str, num_perm: int, bands: int,
-                 shingle_k: int) -> None:
-        assert num_perm % bands == 0
-        self.text_col = text_col
-        self.id_col = id_col
-        self.num_perm = num_perm
-        self.bands = bands
-        self.shingle_k = shingle_k
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        return minhash_band_rows(batch, self.text_col, self.id_col,
-                                 self.num_perm, self.bands, self.shingle_k)
-
-
 def id_col_name(id_col: str) -> str:
     return id_col
 
@@ -482,26 +464,22 @@ def connected_components(edges, src_col: str = "src", dst_col: str = "dst",
         return (int(parts["n"].sum()), int(h_total))
 
     # the star-edge state; orientation normalized so labels only decrease
-    cur = edges.map_batches(init_pairs, batch_format="pyarrow").materialize()
-    logger.debug("cc init done")
+    pairs = edges.map_batches(init_pairs, batch_format="pyarrow")
     if partitions <= 1:
         # one partition holds the whole (small) edge set: a single remote
-        # contract task IS the fixpoint — skip the round loop and the final
-        # dedup (contract already emits one row per node)
+        # contract task over one block IS the fixpoint — one execution, no
+        # round loop and no final dedup (contract emits one row per node)
         def contract_all(df: pd.DataFrame) -> pd.DataFrame:
-            out = contract(df)
-            return out.rename(columns={"a": "node", "b": "label"})
-
-        def one_part(batch: pa.Table) -> pa.Table:
-            return batch.append_column(
-                "part", pa.array(np.zeros(batch.num_rows, dtype=np.int32)))
+            return contract(df).rename(columns={"a": "node", "b": "label"})
 
         return (
-            cur.map_batches(one_part, batch_format="pyarrow")
-            .groupby("part")
-            .map_groups(arrow_out(contract_all), batch_format="pandas")
+            pairs.repartition(1)
+            .map_batches(arrow_out(contract_all), batch_format="pandas",
+                         batch_size=None)
             .materialize()
         )
+    cur = pairs.materialize()
+    logger.debug("cc init done")
     prev = None
     for _r in range(max_rounds):
         cur = (

@@ -12,6 +12,15 @@ happens in deterministic sorted-key order. Nothing materializes the data
 itself — the only driver-side payload is one small blob per block, so the
 same plan holds at 100 TB (partials scale with block *count*, not bytes; a
 two-level tree merge over a groupby can fold >100k partials if ever needed).
+Each reservoir in a blob is one Arrow array, so the driver unpickles a few
+buffers per column and the fold gathers with ``take``.
+
+Assembly cost scales with the number of *distinct* sample values, not with
+rows or sample size: ``encode_sample`` renders each column's reservoir once
+per distinct raw value and dictionary-encodes it, then every detector
+(RE2 over ASCII values, Python ``re`` over the rest), validator and
+quality predicate runs once per distinct value, weighted by its count.
+Only the order-sensitive checks read the sample order.
 
 Assembly parity: exact-aggregate override + approximate disclosure from
 /root/reference/crates/dataprof-runtime/src/profile_builder.rs:87-314; quality
@@ -161,42 +170,56 @@ def collect_column_state(
     return A.merge_collections(parts)
 
 
-def _render_sample_strings(stats: A.StreamingStatistics) -> list[str]:
-    """String-render a column's reservoir for pattern/quality passes,
-    mirroring the reference's formatter-based generic path."""
-    out = []
-    for v in stats.sampler.samples():
-        if isinstance(v, str):
-            out.append(v)
-        elif isinstance(v, float):
-            if stats.is_integer_type and float(v).is_integer():
-                out.append(str(int(v)))
-            else:
-                out.append(repr(v))
-        elif hasattr(v, "strftime"):
-            out.append(v.strftime("%Y-%m-%dT%H:%M:%S"))
-        else:
-            out.append(str(v))
-    return out
+def _render_value(v, integral: bool) -> str:
+    """A sample value as the reference's formatter-based generic path
+    prints it; ``integral`` for an integer column's float values."""
+    if isinstance(v, str):
+        return v
+    if isinstance(v, float):
+        return str(int(v)) if integral and v.is_integer() else repr(v)
+    if hasattr(v, "strftime"):
+        return v.strftime("%Y-%m-%dT%H:%M:%S")
+    return str(v)
 
 
-def infer_data_type_streaming(stats: A.StreamingStatistics, sample: list[str]) -> str:
+def encode_sample(stats: A.StreamingStatistics) -> Q.ColumnSample:
+    """Render a column's reservoir once and dictionary-encode it: each
+    distinct raw value is rendered once, and the pattern and quality passes
+    read the encoding."""
+    arr = stats.sampler.reservoir
+    if arr is None:
+        return Q.ColumnSample.from_list([])
+
+    def render(v) -> str:
+        return _render_value(v, stats.is_integer_type)
+
+    if isinstance(arr, np.ndarray):
+        # values of types with no common Arrow type: each renders by its own
+        return Q.ColumnSample.from_list([render(v) for v in arr.tolist()])
+    text = pa.types.is_string(arr.type) or pa.types.is_large_string(arr.type)
+    return Q.ColumnSample.encode(arr, None if text else render)
+
+
+def infer_data_type_streaming(stats: A.StreamingStatistics, sample: Q.ColumnSample) -> str:
     """Streaming-variant inference off the reservoir + finite min/max
-    (profile_builder.rs:317-369)."""
-    non_empty = [s for s in sample if not K.is_null_like_token(s)]
+    (profile_builder.rs:317-369), once per distinct sample value."""
+    present = ~sample.null_like
+    non_empty = sample.total(present)
+    stripped = sample.stripped
     if np.isfinite(stats.min) and np.isfinite(stats.max) and non_empty:
-        if all(K.parse_i64(s) is not None for s in non_empty):
+        if sample.holds(lambda v: K.parse_i64(v) is not None)[present].all():
             return K.TYPE_INTEGER
-        numeric = sum(1 for s in non_empty if K.parse_finite_f64(s) is not None)
-        if numeric / len(non_empty) > 0.8:
+        numeric = sample.total(present & ~np.isnan(sample.finite_f64))
+        if numeric / non_empty > 0.8:
             return K.TYPE_FLOAT
     if non_empty:
-        head = non_empty[:100]
-        date_like = sum(1 for s in head if K._ANY_DATE_RE.match(s.strip()))
+        head = sample.first_codes(present, 100)
+        date_like = sum(K._ANY_DATE_RE.match(stripped[c]) is not None for c in head.tolist())
         if date_like / len(head) > 0.7:
             return K.TYPE_DATE
-        bools = sum(1 for s in non_empty if K.parse_strict_boolean_token(s) is not None)
-        if bools / len(non_empty) >= 0.9:
+        bools = sample.total(present & sample.holds(
+            lambda v: K.parse_strict_boolean_token(v) is not None))
+        if bools / non_empty >= 0.9:
             return K.TYPE_BOOLEAN
     return K.TYPE_STRING
 
@@ -204,14 +227,14 @@ def infer_data_type_streaming(stats: A.StreamingStatistics, sample: list[str]) -
 def build_profile(
     name: str,
     stats: A.StreamingStatistics,
+    sample: Q.ColumnSample,
     *,
     skip_patterns: bool = False,
     locale: Optional[str] = None,
     identifier_columns: tuple = (),
 ) -> S.ColumnProfile:
     """ColumnProfile assembly with the exact-over-sample contract
-    (profile_builder.rs:87-215)."""
-    sample = _render_sample_strings(stats)
+    (profile_builder.rs:87-215); ``sample`` is ``encode_sample(stats)``."""
     kind = stats.kind or "string"
 
     if kind == "boolean":
@@ -231,13 +254,19 @@ def build_profile(
     col_stats = None
 
     if data_type in (K.TYPE_INTEGER, K.TYPE_FLOAT):
+        reservoir = stats.sampler.reservoir
         if kind == "numeric":
-            numeric_sample = np.asarray(
-                [v for v in stats.sampler.samples() if isinstance(v, float)], dtype=np.float64
-            )
+            if isinstance(reservoir, np.ndarray):  # the float values among several types
+                numeric_sample = np.asarray(
+                    [v for v in reservoir.tolist() if isinstance(v, float)], dtype=np.float64)
+            elif reservoir is not None and pa.types.is_floating(reservoir.type):
+                numeric_sample = reservoir.to_numpy(zero_copy_only=False)
+            else:
+                numeric_sample = np.zeros(0)
         else:
-            parsed = [K.parse_finite_f64(s) for s in sample]
-            numeric_sample = np.asarray([v for v in parsed if v is not None], dtype=np.float64)
+            # the parsed values in sample order: the moments sum in that order
+            parsed = sample.finite_f64[sample.codes]
+            numeric_sample = parsed[~np.isnan(parsed)]
         ns = S.numeric_stats_from_sample(numeric_sample)
         exact_count = stats.welford.count
         invalid_count = max(stats.count - stats.null_count - exact_count, 0)
@@ -272,31 +301,31 @@ def build_profile(
         else:
             parsed_dates = stats.date_match_count
             invalid_count = max(stats.count - stats.null_count - parsed_dates, 0)
-            col_stats = S.datetime_stats_from_sample(sample) if sample else S.DateTimeStats()
+            col_stats = (S.datetime_stats_from_counts(sample.values, sample.counts)
+                         if len(sample) else S.DateTimeStats())
     elif data_type == K.TYPE_BOOLEAN:
         if kind == "boolean":
             t, f = stats.bool_true, stats.bool_false
         else:
-            t = sum(1 for s in sample if K.parse_strict_boolean_token(s) is True)
-            f = sum(1 for s in sample if K.parse_strict_boolean_token(s) is False)
+            t = sample.total(sample.holds(lambda v: K.parse_strict_boolean_token(v) is True))
+            f = sample.total(sample.holds(lambda v: K.parse_strict_boolean_token(v) is False))
         total = t + f
         col_stats = S.BooleanStats(t, f, t / total if total else 0.0)
     else:  # String / Identifier / binary
         tl = stats.text_lengths
         col_stats = S.text_stats_from_lengths(tl.min_length, tl.max_length, tl.avg_length)
-        if kind == "string" and sample:
+        if kind == "string" and len(sample):
             # top/bottom-10 frequencies from the merged reservoir with the
             # deterministic (count desc, value asc) tie-break — the
             # streaming reference computes these over the reservoir too
             # (stats/text.rs:53-89); exact when the reservoir covers the
             # stream, sample-derived (and the report is Mixed) otherwise.
-            freq = S.text_stats_from_sample(sample)
-            col_stats.most_frequent = freq.most_frequent
-            col_stats.least_frequent = freq.least_frequent
+            col_stats.most_frequent, col_stats.least_frequent = S.text_frequencies(
+                sample.values, sample.counts)
 
     patterns = None
     if not skip_patterns and kind in ("string", "numeric"):
-        patterns = P.detect_patterns(sample, locale)
+        patterns = P.detect_patterns_counts(sample.stripped, sample.counts, locale)
     elif not skip_patterns:
         patterns = []
 
@@ -339,18 +368,16 @@ def assemble_report(
     "not assessed" — so the overall score renormalizes over the selected
     weights (quality.rs renormalization semantics)."""
     config = config or Q.IsoQualityConfig()
+    sample_data = {name: encode_sample(stats) for name, stats in coll.columns.items()}
     profiles = [
-        build_profile(name, stats, skip_patterns=skip_patterns, locale=locale,
-                      identifier_columns=identifier_columns)
+        build_profile(name, stats, sample_data[name], skip_patterns=skip_patterns,
+                      locale=locale, identifier_columns=identifier_columns)
         for name, stats in coll.columns.items()
     ]
 
     quality = None
     confidence = "Exact"
     if compute_quality and profiles:
-        sample_data = {
-            name: _render_sample_strings(stats) for name, stats in coll.columns.items()
-        }
         row_dups = None
         if coll.row_tracker is not None:
             row_dups = Q.RowDuplicateSummary(
@@ -393,7 +420,7 @@ def assemble_report(
         # stream. Boolean/binary columns are computed exactly from counters
         # and never feed the sampler — they must not force "Mixed".
         sampled = any(
-            len(stats.sampler.samples()) < stats.count - stats.null_count
+            len(stats.sampler) < stats.count - stats.null_count
             for stats in coll.columns.values()
             if stats.kind not in ("boolean", "binary")
         )

@@ -210,9 +210,9 @@ def toxicity_stage(batch: pa.Table) -> pa.Table:
     ).append_column("toxicity_hits", pa.array(counts, pa.int64()))
 
 
-def scrub_toxicity(filtered_ds, batch_size: int = 2048):
-    return filtered_ds.map_batches(
-        toxicity_stage, batch_format="pyarrow", batch_size=batch_size)
+def scrub_toxicity(filtered_ds):
+    return filtered_ds.map_batches(toxicity_stage, batch_format="pyarrow",
+                                   batch_size=2048)
 
 
 # ------------------------------------------------------------------ pipeline

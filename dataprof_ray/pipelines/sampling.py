@@ -46,26 +46,19 @@ def reservoir_sample(ds, size: int, seed: int = RESERVOIR_SEED) -> pa.Table:
 
     def block_reservoir(batch: pa.Table) -> pa.Table:
         r = ReservoirSampler(size, seed)
-        r.offer_lazy(
-            batch.num_rows,
-            lambda idx: batch.take(pa.array(idx, pa.int64())).to_pylist(),
-        )
+        r.offer_arrow(batch.to_struct_array().combine_chunks())
         return pa.table({
             "n": pa.array([r.count], pa.int64()),
-            "blob": pa.array([pickle.dumps((r.count, r.reservoir))], pa.binary()),
+            "blob": pa.array([pickle.dumps(r)], pa.binary()),
         })
 
     parts = ds.map_batches(block_reservoir, batch_format="pyarrow").take_all()
     merged = ReservoirSampler(size, seed)
     for part in sorted(parts, key=lambda p: p["blob"]):
-        count, rows = pickle.loads(part["blob"])
-        other = ReservoirSampler(size, seed)
-        other.reservoir = rows
-        other.count = count
-        merged.merge(other)
-    if not merged.reservoir:
+        merged.merge(pickle.loads(part["blob"]))
+    if not len(merged):
         return pa.table({})
-    return pa.Table.from_pylist(merged.reservoir)
+    return pa.Table.from_struct_array(merged.reservoir)
 
 
 def systematic_sample(ds, every_n: int) -> pa.Table:

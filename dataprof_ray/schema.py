@@ -14,6 +14,7 @@ The corpus schema is the north-rule input table (BASELINE.json input_hint).
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 import uuid
@@ -378,54 +379,43 @@ def text_stats_from_lengths(min_length: Optional[int], max_length: int, avg_leng
     return TextStats(min_length=min_length or 0, max_length=max_length, avg_length=avg_length)
 
 
-def text_stats_from_sample(values: list[str]) -> TextStats:
-    """Full text stats incl. deterministic top/bottom-10 frequency (tie-break
-    count then value; stats/text.rs:7-110)."""
-    non_empty = [v for v in values if v]
-    if not non_empty:
-        return TextStats()
-    lengths = [len(v.encode("utf-8")) for v in non_empty]
-    from collections import Counter
-
-    counts = Counter(non_empty)
-    most = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[:10]
-    least = sorted(counts.items(), key=lambda kv: (kv[1], kv[0]))[:10]
-    return TextStats(
-        min_length=min(lengths),
-        max_length=max(lengths),
-        avg_length=sum(lengths) / len(lengths),
-        most_frequent=[(v, c) for v, c in most],
-        least_frequent=[(v, c) for v, c in least],
-    )
+def text_frequencies(values: list[str], counts) -> tuple[list, list]:
+    """Top/bottom-10 ``(value, count)`` over distinct sample values and their
+    counts, ties broken by value (stats/text.rs:53-89); empty values are
+    not counted."""
+    pairs = [(v, int(c)) for v, c in zip(values, counts) if v]
+    return (heapq.nsmallest(10, pairs, key=lambda kv: (-kv[1], kv[0])),
+            heapq.nsmallest(10, pairs, key=lambda kv: (kv[1], kv[0])))
 
 
-def datetime_stats_from_sample(values: list[str]) -> DateTimeStats:
-    """Datetime stats over sample values via the flexible chain
-    (stats/datetime.rs:28-71)."""
+def datetime_stats_from_counts(values: list[str], counts) -> DateTimeStats:
+    """Datetime stats over distinct sample values and their counts via the
+    flexible chain (stats/datetime.rs:28-71). Values come in order of first
+    appearance, so the distributions keep the per-row insertion order."""
     parsed = []
-    for v in values:
+    for v, c in zip(values, counts):
         r = K.parse_flexible_datetime(v)
         if r is not None:
-            parsed.append(r)
+            parsed.append((r[0], r[1], int(c)))
     if not parsed:
         return DateTimeStats()
-    dates = [d for d, _ in parsed]
+    dates = [d for d, _, _ in parsed]
     dmin, dmax = min(dates), max(dates)
     year_dist: dict = {}
     month_dist: dict = {}
     dow_dist: dict = {}
     weekdays = ["Monday", "Tuesday", "Wednesday", "Thursday", "Friday", "Saturday", "Sunday"]
-    for d in dates:
-        year_dist[d.year] = year_dist.get(d.year, 0) + 1
-        month_dist[d.month] = month_dist.get(d.month, 0) + 1
+    for d, _, c in parsed:
+        year_dist[d.year] = year_dist.get(d.year, 0) + c
+        month_dist[d.month] = month_dist.get(d.month, 0) + c
         w = weekdays[d.weekday()]
-        dow_dist[w] = dow_dist.get(w, 0) + 1
-    dts = [dt for _, dt in parsed if dt is not None]
+        dow_dist[w] = dow_dist.get(w, 0) + c
     hour_dist = None
-    if dts:
+    if any(dt is not None for _, dt, _ in parsed):
         hour_dist = {}
-        for dt in dts:
-            hour_dist[dt.hour] = hour_dist.get(dt.hour, 0) + 1
+        for _, dt, c in parsed:
+            if dt is not None:
+                hour_dist[dt.hour] = hour_dist.get(dt.hour, 0) + c
     return DateTimeStats(
         min_datetime=dmin.strftime("%Y-%m-%d"),
         max_datetime=dmax.strftime("%Y-%m-%d"),

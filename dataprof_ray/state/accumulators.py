@@ -198,36 +198,74 @@ class CardinalityEstimator:
         return self.spilled
 
 
+def _concat_arrays(a, b):
+    """One array of ``a`` then ``b``. Blocks of one column can differ in
+    type (string vs large_string, an all-NULL chunk, timestamp units), so
+    mismatched types are widened the way ``concat_tables`` widens them.
+    Types with no common type (a column that is text in one file and
+    numbers in another) meet in a NumPy object array of the Python values,
+    each keeping its own type."""
+    if isinstance(a, pa.Array) and isinstance(b, pa.Array):
+        if a.type == b.type:
+            return pa.concat_arrays([a, b])
+        try:
+            return pa.concat_tables(
+                [pa.table({"v": a}), pa.table({"v": b})], promote_options="permissive"
+            ).column("v").combine_chunks()
+        except (pa.ArrowTypeError, pa.ArrowInvalid):
+            pass
+    return np.concatenate([_objects(a), _objects(b)])
+
+
+def _objects(arr) -> np.ndarray:
+    if isinstance(arr, np.ndarray):
+        return arr
+    out = np.empty(len(arr), dtype=object)
+    out[:] = arr.to_pylist()
+    return out
+
+
 class ReservoirSampler:
     """Algorithm-R reservoir with deterministic seed; `shrink_to` under memory
-    pressure; RNG-driven merge. Values may be str / float / datetime."""
+    pressure; RNG-driven merge.
+
+    The reservoir is one Arrow array (str / float64 / timestamp in the
+    profiler, any Arrow type elsewhere), so a pickled sampler is a few
+    buffers rather than ``capacity`` Python objects: the per-block partials
+    cross to the driver that way. ``None`` until the first value; a NumPy
+    object array once values of types with no common Arrow type meet
+    (see ``_concat_arrays``)."""
 
     __slots__ = ("reservoir", "capacity", "count", "rng")
 
     def __init__(self, capacity: int = DEFAULT_RESERVOIR_CAPACITY, seed: int = RESERVOIR_SEED) -> None:
         self.capacity = max(capacity, 1)
-        self.reservoir: list = []
+        self.reservoir = None
         self.count = 0
         self.rng = np.random.default_rng(seed & 0xFFFF_FFFF_FFFF_FFFF)
 
+    def __len__(self) -> int:
+        return 0 if self.reservoir is None else len(self.reservoir)
+
     def offer_batch(self, values: list) -> None:
-        self.offer_lazy(len(values), lambda idx: [values[k] for k in idx])
+        self.offer_lazy(len(values), lambda idx: pa.array([values[k] for k in idx]))
 
     def offer_lazy(self, n: int, take) -> None:
         """Offer ``n`` values, materializing ONLY the accepted ones:
-        ``take(indices) -> list`` is called for the fill slice and the
-        replacement hits. Saves the per-batch to_pylist of values the
-        reservoir would discard anyway (the hot path at scale). The RNG
-        consumption (one ``random(m)`` draw per replacement-phase batch) is
-        identical to the eager variant, so sampling decisions are too."""
+        ``take(indices) -> pa.Array`` is called for the fill slice and the
+        replacement hits. The RNG consumption (one ``random(m)`` draw per
+        replacement-phase batch) is that of sequential Algorithm R, and so
+        are the slots: a later hit on a slot overwrites an earlier one."""
         if n == 0:
             return
         cap = self.capacity
         i = 0
         # fill phase
-        if len(self.reservoir) < cap:
-            take_n = min(cap - len(self.reservoir), n)
-            self.reservoir.extend(take(np.arange(take_n)))
+        if len(self) < cap:
+            take_n = min(cap - len(self), n)
+            head = take(np.arange(take_n))
+            self.reservoir = (head if self.reservoir is None
+                              else _concat_arrays(self.reservoir, head))
             self.count += take_n
             i = take_n
         if i >= n:
@@ -238,41 +276,44 @@ class ReservoirSampler:
         draws = (self.rng.random(m) * (t + 1)).astype(np.int64)
         hits = np.nonzero(draws < cap)[0]
         if len(hits):
-            vals = take(hits + i)
-            res = self.reservoir
-            for v, j in zip(vals, hits.tolist()):
-                res[draws[j]] = v
+            slots = draws[hits]
+            # last hit per slot wins: first occurrence in the reversed order
+            last = len(slots) - 1 - np.unique(slots[::-1], return_index=True)[1]
+            src = np.arange(cap, dtype=np.int64)
+            src[slots[last]] = cap + last
+            self.reservoir = _concat_arrays(self.reservoir, take(hits + i)).take(src)
         self.count += m
 
     def offer_arrow(self, arr) -> None:
-        self.offer_lazy(
-            len(arr), lambda idx: arr.take(pa.array(idx, pa.int64())).to_pylist()
-        )
+        self.offer_lazy(len(arr), lambda idx: arr.take(pa.array(idx, pa.int64())))
 
     def offer_ndarray(self, values: np.ndarray) -> None:
-        self.offer_lazy(len(values), lambda idx: values[idx].tolist())
+        self.offer_lazy(len(values), lambda idx: pa.array(values[idx]))
 
     def shrink_to(self, new_capacity: int) -> None:
         self.capacity = max(new_capacity, 1)
-        del self.reservoir[self.capacity:]
+        if self.reservoir is not None:
+            self.reservoir = self.reservoir[: self.capacity]
 
     def samples(self) -> list:
-        return self.reservoir
+        if isinstance(self.reservoir, np.ndarray):
+            return self.reservoir.tolist()
+        return [] if self.reservoir is None else self.reservoir.to_pylist()
 
     def merge(self, other: "ReservoirSampler") -> None:
         if other.count == 0:
             return
-        combined = self.reservoir + list(other.reservoir)
+        combined = (other.reservoir if self.reservoir is None
+                    else _concat_arrays(self.reservoir, other.reservoir))
         total = len(combined)
         if total <= self.capacity:
             self.reservoir = combined
         else:
             # uniform without-replacement draw — same distribution as the
             # reference's partial Fisher-Yates (streaming_stats.rs:180-195)
-            # in ONE vectorized RNG call (the per-slot loop was the driver
-            # merge hotspot: 10k RNG calls x partials x columns)
+            # in ONE vectorized RNG call, gathered with one take
             idx = self.rng.choice(total, size=self.capacity, replace=False)
-            self.reservoir = [combined[i] for i in idx]
+            self.reservoir = combined.take(idx)
         self.count += other.count
 
 
@@ -453,7 +494,8 @@ class StreamingStatistics:
         n = len(arr)
         self.count += n
         self.null_count += arr.null_count
-        s = pd.Series(arr.drop_null().to_pandas())
+        vals = arr.drop_null()
+        s = pd.Series(vals.to_pandas())
         if s.empty:
             return
         lo, hi = s.min(), s.max()
@@ -469,7 +511,7 @@ class StreamingStatistics:
             self.has_time_component = True
         self.hour_dist.update(Counter(hours.value_counts().to_dict()))
         self.cardinality.add_hashes(hash64(s.astype("int64").to_numpy()))
-        self.sampler.offer_lazy(len(s), lambda idx: s.iloc[idx].tolist())
+        self.sampler.offer_arrow(vals)
 
     def update_binary_array(self, arr: pa.Array) -> None:
         """Binary columns profiled by length only (record_batch_analyzer.rs:829-853)."""

@@ -661,3 +661,31 @@ def test_remove_duplicate_spans_partitioned_tier_stress(ray_session):
          .to_pandas().sort_values("doc_id").reset_index(drop=True))
     assert a.equals(b)
     assert b["n_removed"].sum() > 500  # shared spans really scrub
+
+
+def test_minhash_groups_small_graph_is_one_clustering_execution(ray_session, doc_table,
+                                                                 monkeypatch):
+    """Verified MinHash groups over a small graph: edges, candidate ids,
+    shingle fetch, verify, then ONE execution for the one-partition
+    clustering (repartition(1) + one contract task)."""
+    import ray.data as rd
+    from ray.data._internal.execution.streaming_executor import (
+        StreamingExecutor)
+
+    ds = rd.from_arrow(doc_table).repartition(4).materialize()
+    executions = []
+    orig = StreamingExecutor.execute
+
+    def counted(executor, dag, *args, **kwargs):
+        executions.append(dag)
+        return orig(executor, dag, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counted)
+    groups = D.minhash_lsh_duplicate_groups(ds, num_perm=64, bands=16,
+                                            verify_threshold=0.7)
+    monkeypatch.undo()
+    assert len(executions) == 5
+    mapping = dict(zip(groups.id, groups.canonical_id))
+    assert all(mapping.get(80 + j) == j for j in range(5))
+    assert groups.equals(D.minhash_lsh_duplicate_groups(
+        ds, num_perm=64, bands=16, verify_threshold=0.7, clustering="driver"))
