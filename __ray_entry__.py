@@ -791,8 +791,7 @@ def _jaccard_lsh_recall_audit(sf_dir: str) -> pd.DataFrame:
     docs = _read(sf_dir, "documents", columns=["doc_id", "text"],
                  override_num_blocks=16)
     exact = exact_jaccard_pairs(docs, n=3, threshold=0.5).to_pandas()
-    gated = ngram_jaccard_duplicate_pairs(docs, n=3, threshold=0.5,
-                                          concurrency=(1, 4))
+    gated = ngram_jaccard_duplicate_pairs(docs, n=3, threshold=0.5)
     e = set(zip(exact["id_a"], exact["id_b"]))
     g = set(zip(gated["id_a"].astype(int), gated["id_b"].astype(int)))
     return pd.DataFrame([{
@@ -1379,12 +1378,12 @@ def _minhash_duplicate_groups(sf_dir: str) -> pd.DataFrame:
     from dataprof_ray.pipelines import dedup as D
 
     # 16-way read split: documents ship as ONE parquet file per sf dir,
-    # and a single input block serializes the signature actor pool
+    # and a single input block serializes the signature stage
     # (measured 12s -> 5s at sf0.1)
     return D.minhash_lsh_duplicate_groups(
         _read(sf_dir, "documents", columns=["doc_id", "text"],
               override_num_blocks=16),
-        concurrency=(1, 4), verify_threshold=0.5,
+        verify_threshold=0.5,
     )
 
 
@@ -1394,7 +1393,7 @@ def _ngram_jaccard_pairs(sf_dir: str) -> pd.DataFrame:
     return D.ngram_jaccard_duplicate_pairs(
         _read(sf_dir, "documents", columns=["doc_id", "text"],
               override_num_blocks=16),
-        n=3, threshold=0.5, concurrency=(1, 4),
+        n=3, threshold=0.5,
     )
 
 

@@ -22,7 +22,7 @@ For near-duplicate-id corpora B is small (a variant fixes all but one
 character); ``bucket_cap`` guards pathological buckets (low-entropy
 strings) by dropping oversized buckets WITH an audit count, mirroring
 ``jaccard_lsh_pairs``'s pair_cap contract. Pairs are deduplicated
-distributed (coarse-partitioned on id_a) before the driver ever sees
+distributed (a keyed exchange on id_a) before the driver ever sees
 them; output is O(true pairs + capped candidates).
 """
 
@@ -34,9 +34,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from dataprof_ray.pipelines.partitioning import arrow_out
-
-_EDGE_PARTITIONS = 64
+from dataprof_ray.pipelines.partitioning import keyed_exchange
 
 
 def levenshtein(a: str, b: str, cap: Optional[int] = None) -> int:
@@ -152,12 +150,6 @@ def fuzzy_pairs(
         h = _hash64(v_strs) if v_strs else np.array([], dtype=np.uint64)
         return pa.table({
             "bucket": pa.array(h, pa.uint64()),
-            # COARSE shuffle key: one Ray group per hash partition, not
-            # per variant (per-tiny-group scheduling is the measured
-            # hotspot — see pipelines.partitioning); variant buckets are
-            # resolved by an in-partition pandas groupby
-            "part": pa.array((h % np.uint64(_EDGE_PARTITIONS))
-                             .astype(np.int32), pa.int32()),
             "id": pa.array(v_ids, pa.int64()),
             "text": pa.array(v_texts, pa.string()),
         })
@@ -192,25 +184,17 @@ def fuzzy_pairs(
                          "dist": np.int64})
                 .drop_duplicates(["id_a", "id_b"]))
 
-    cand = (
-        ds.map_batches(variants, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(arrow_out(partition_pairs), batch_format="pandas")
-    )
+    # coarse exchange on the variant hash: one Ray group per partition,
+    # not per variant (per-tiny-group scheduling is the measured hotspot —
+    # see pipelines.partitioning); variant buckets are resolved by an
+    # in-partition pandas groupby
+    cand = keyed_exchange(ds.map_batches(variants, batch_format="pyarrow"),
+                          ["bucket"], partition_pairs, batch_format="pandas")
 
     # the same true pair is re-proposed by every shared variant: dedup
-    # distributed, coarse-partitioned on id_a (both endpoints ride along,
-    # so cross-partition duplicates cannot survive)
-    def add_part(batch: pa.Table) -> pa.Table:
-        part = (batch.column("id_a").to_numpy(zero_copy_only=False)
-                % np.int64(_EDGE_PARTITIONS)).astype(np.int32)
-        return batch.append_column("part", pa.array(part, pa.int32()))
-
+    # distributed, keyed on id_a (both endpoints ride along, so
+    # cross-partition duplicates cannot survive)
     def dd(df: pd.DataFrame) -> pd.DataFrame:
         return df.drop_duplicates(["id_a", "id_b"])[["id_a", "id_b", "dist"]]
 
-    return (
-        cand.map_batches(add_part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(arrow_out(dd), batch_format="pandas")
-    )
+    return keyed_exchange(cand, ["id_a"], dd, batch_format="pandas")

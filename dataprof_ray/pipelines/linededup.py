@@ -15,9 +15,9 @@ family to sub-document granularity):
    xxhash (128 bits — collisions are ~2^-64 per pair, the same contract as
    the MD5/MinHash family), and pre-aggregates counts per hash INSIDE the
    batch. The shuffle therefore moves (hash128, partial_count) rows — O(
-   distinct lines per batch), not O(line occurrences) — into 64 coarse
-   partitions (pipelines.partitioning: per-tiny-group Ray aggregates are the
-   measured hotspot; one vectorized pandas sum per partition is not).
+   distinct lines per batch), not O(line occurrences) — through
+   ``partitioning.keyed_exchange`` on h1 (per-tiny-group Ray aggregates are
+   the measured hotspot; one vectorized pandas sum per partition is not).
 2. **The common-line set is TIERED on its measured size** (the count is
    one cheap aggregate over the pass-1 output). Below ``broadcast_limit``
    — the normal case; boilerplate is heavy-tailed — the driver assembles
@@ -47,7 +47,8 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from dataprof_ray.pipelines.partitioning import arrow_out, DEFAULT_PARTITIONS
+from dataprof_ray.pipelines.partitioning import (DEFAULT_PARTITIONS,
+                                                 keyed_exchange)
 
 _NEWLINE = "\n"
 # explicit ASCII whitespace set, mirrored by the SQL oracle's
@@ -105,9 +106,7 @@ def common_line_hashes(ds, text_col: str = "text", max_docs: int = 1,
         # distinct per doc, then count docs per line within the batch
         per = (df.drop_duplicates()
                .groupby(["h1", "h2"], sort=False).size().reset_index(name="n"))
-        part = (per["h1"].to_numpy() % np.uint64(partitions)).astype(np.int32)
         return pa.table({
-            "__part": pa.array(part, pa.int32()),
             "h1": pa.array(per["h1"].to_numpy(), pa.uint64()),
             "h2": pa.array(per["h2"].to_numpy(), pa.uint64()),
             "n": pa.array(per["n"].to_numpy(), pa.int64()),
@@ -118,11 +117,9 @@ def common_line_hashes(ds, text_col: str = "text", max_docs: int = 1,
                .rename(columns={"n": "n_docs"}))
         return tot[tot["n_docs"] > max_docs]
 
-    return (
-        ds.map_batches(partials, batch_format="pyarrow")
-        .groupby("__part")
-        .map_groups(arrow_out(reduce_part), batch_format="pandas")
-    )
+    return keyed_exchange(ds.map_batches(partials, batch_format="pyarrow"),
+                          ["h1"], reduce_part, partitions=partitions,
+                          batch_format="pandas")
 
 
 def _doc_rows(id_arr, counts, flat, removed, include_text, sep, id_col,
@@ -252,8 +249,6 @@ def _line_dedup_partitioned(ds, common_ds, text_col, id_col, include_text,
             "__li": pa.array(np.full(n, -1, np.int64)),
             "__t1": pa.nulls(n, pa.uint64()),
             "__t2": pa.nulls(n, pa.uint64()),
-            "__part": pa.array((h1 % np.uint64(partitions)).astype(np.int32),
-                               pa.int32()),
             "__side": pa.array(np.zeros(n, np.int8)),
         })
 
@@ -281,9 +276,6 @@ def _line_dedup_partitioned(ds, common_ds, text_col, id_col, include_text,
             "__li": pa.array(li[sel], pa.int64()),
             "__t1": pa.array(t1d[doc_idx[sel]], pa.uint64()),
             "__t2": pa.array(t2d[doc_idx[sel]], pa.uint64()),
-            "__part": pa.array(
-                (h1[sel] % np.uint64(partitions)).astype(np.int32),
-                pa.int32()),
             "__side": pa.array(np.ones(len(sel), np.int8)),
         })
 
@@ -313,23 +305,18 @@ def _line_dedup_partitioned(ds, common_ds, text_col, id_col, include_text,
             rm = np.zeros(len(qk), dtype=bool)
         out = cand.filter(pa.array(rm))
         n = out.num_rows
-        t1 = out.column("__t1").to_numpy(zero_copy_only=False) \
-            .astype(np.uint64)
         cols = {
             "__id": out.column("__id"),
             "__li": out.column("__li"),
             "__t1": out.column("__t1"),
             "__t2": out.column("__t2"),
             "__text": pa.nulls(n, pa.string()),
-            "__dpart": pa.array((t1 % np.uint64(partitions))
-                                .astype(np.int32), pa.int32()),
             "__side": pa.array(np.ones(n, np.int8)),
         }
         cols.update(null_keeps(n))
         return pa.table(cols)
 
-    removals = (tagged.groupby("__part")
-                .map_groups(resolve, batch_format="pyarrow"))
+    removals = keyed_exchange(tagged, ["h1"], resolve, partitions=partitions)
 
     def tag_docs(batch: pa.Table) -> pa.Table:
         n = batch.num_rows
@@ -341,8 +328,6 @@ def _line_dedup_partitioned(ds, common_ds, text_col, id_col, include_text,
             "__t1": pa.array(t1d, pa.uint64()),
             "__t2": pa.array(t2d, pa.uint64()),
             "__text": filled,
-            "__dpart": pa.array((t1d % np.uint64(partitions))
-                                .astype(np.int32), pa.int32()),
             "__side": pa.array(np.zeros(n, np.int8)),
         }
         cols.update({c: batch.column(c) for c in passthrough})
@@ -378,9 +363,9 @@ def _line_dedup_partitioned(ds, common_ds, text_col, id_col, include_text,
                          include_text, sep, id_col,
                          {c: docs.column(c) for c in passthrough})
 
-    return (removals.union(ds.map_batches(tag_docs, batch_format="pyarrow"))
-            .groupby("__dpart")
-            .map_groups(rewrite, batch_format="pyarrow"))
+    return keyed_exchange(
+        removals.union(ds.map_batches(tag_docs, batch_format="pyarrow")),
+        ["__t1"], rewrite, partitions=partitions)
 
 
 # per-worker cache for the broadcast common-line array (same pattern as

@@ -11,8 +11,8 @@ rule — entirely as Ray Data aggregations:
    (29*29) contexts x 29 next-chars = 24,389 cells — so every exchange is
    bounded by the vocabulary, never the corpus: a batch contributes at most
    24,389 rows regardless of how many documents it holds.
-2. **Reduction** is the repo-standard coarse-partitioned groupby
-   (pipelines.partitioning): cells shuffle into 64 partitions, one
+2. **Reduction** is the repo-standard ``partitioning.keyed_exchange``
+   on the cell id: cells shuffle into 64 partitions, one
    vectorized pandas sum each, and the driver collects <= 24,389
    (cell, count) rows total — independent of corpus size.
 3. **Scoring** broadcasts the trained log-prob matrix once via ``ray.put``;
@@ -35,7 +35,8 @@ import pandas as pd
 import pyarrow as pa
 
 from dataprof_ray.functions.docquality import TrigramLM
-from dataprof_ray.pipelines.partitioning import arrow_out, DEFAULT_PARTITIONS
+from dataprof_ray.pipelines.partitioning import (DEFAULT_PARTITIONS,
+                                                 keyed_exchange)
 
 _V = len(TrigramLM.VOCAB)
 _CELLS = _V * _V * _V
@@ -85,22 +86,14 @@ def train_trigram_lm(ds, text_col: str = "text",
                      partitions: int = DEFAULT_PARTITIONS) -> TrigramLM:
     """Count trigrams over the corpus (per document) and return the
     add-one-smoothed ``TrigramLM`` built from the merged counts."""
-    def add_part(batch: pa.Table) -> pa.Table:
-        part = (batch.column("cell").to_numpy(zero_copy_only=False)
-                % np.int64(partitions)).astype(np.int32)
-        return batch.append_column("part", pa.array(part, pa.int32()))
-
     def reduce_cells(df: pd.DataFrame) -> pd.DataFrame:
         return df.groupby("cell", as_index=False, sort=False)["count"].sum()
 
-    merged = (
-        ds.map_batches(lambda b: _count_batch(b, text_col),
-                       batch_format="pyarrow")
-        .map_batches(add_part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(arrow_out(reduce_cells), batch_format="pandas")
-        .to_pandas()
-    )
+    counts = ds.map_batches(lambda b: _count_batch(b, text_col),
+                            batch_format="pyarrow")
+    merged = keyed_exchange(counts, ["cell"], reduce_cells,
+                            partitions=partitions,
+                            batch_format="pandas").to_pandas()
     raw = np.zeros(_CELLS, dtype=np.int64)
     raw[merged["cell"].to_numpy()] = merged["count"].to_numpy()
     return TrigramLM.from_counts(raw.reshape(_V * _V, _V))

@@ -9,12 +9,23 @@ key cardinality) and processes ALL keys of a partition in one vectorized
 transform. Correctness only needs all rows of one key to co-locate,
 which any deterministic key hash gives.
 
-:func:`keyed_exchange` is the one way to exchange rows by user key: it
-tags each row with the int32 partition surrogate, groups on that alone
-(so Ray's sort shuffle never compares user values — a NULL string key
-would break its comparator), and hands each partition to the caller's
-reduce. Operators that partition on a hash they compute themselves
-(dedup bands, join salting) tag ``__part`` directly.
+:func:`keyed_exchange` is the one way to exchange rows by key, whether a
+user key or a hash or id the operator computed itself (dedup, line
+dedup, fuzzy join, trigram LM): it tags each row with the int32
+partition surrogate, groups on that alone (so Ray's sort shuffle never
+compares user values — a NULL string key would break its comparator),
+and hands each partition to the caller's reduce. The exchanges that
+are not plain hash co-location keep their own groupby
+(``tests/test_one_exchange.py`` pins this list):
+
+- ``join``'s cogroups read ``__part``: partition -1 carries NULL keys,
+  and hot keys are salted.
+- ``packing`` partitions on meaning, not a hash: the pack part is an
+  output column.
+- ``profile``'s tree merge uses ``grp`` as the merged ``part_key``.
+- ``ranking.global_rank`` splits on sketch ranges; ``sampling.shuffle_rank``
+  ranks whole md5-prefix subshards, which are ranges of the key order.
+- ``dedup.semantic_dedup`` runs one group per centroid cell.
 """
 
 from __future__ import annotations

@@ -404,7 +404,7 @@ def test_neardup_flags_vs_prior(ray_session):
     new = ray.data.from_arrow(pa.table({
         "doc_id": pa.array(range(len(new_texts)), pa.int64()),
         "text": pa.array(new_texts)})).repartition(2)
-    out = (D.neardup_flags_vs_prior(new, prior, signature_concurrency=(1, 2))
+    out = (D.neardup_flags_vs_prior(new, prior)
            .to_pandas().sort_values("doc_id").reset_index(drop=True))
     # exact copy of a prior doc: every band hits, always flagged
     assert out.loc[0, "flagged"]
@@ -663,29 +663,79 @@ def test_remove_duplicate_spans_partitioned_tier_stress(ray_session):
     assert b["n_removed"].sum() > 500  # shared spans really scrub
 
 
+@pytest.fixture
+def executions(monkeypatch):
+    """Records one entry per Ray Data execution (``StreamingExecutor.
+    execute`` call) made while the test runs."""
+    from ray.data._internal.execution.streaming_executor import (
+        StreamingExecutor)
+
+    dags = []
+    orig = StreamingExecutor.execute
+
+    def counted(executor, dag, *args, **kwargs):
+        dags.append(dag)
+        return orig(executor, dag, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counted)
+    return dags
+
+
 def test_minhash_groups_small_graph_is_one_clustering_execution(ray_session, doc_table,
-                                                                 monkeypatch):
+                                                                 executions):
     """Verified MinHash groups over a small graph: edges, candidate ids,
     shingle fetch, verify, then ONE execution for the one-partition
     clustering (repartition(1) + one contract task)."""
     import ray.data as rd
-    from ray.data._internal.execution.streaming_executor import (
-        StreamingExecutor)
 
     ds = rd.from_arrow(doc_table).repartition(4).materialize()
-    executions = []
-    orig = StreamingExecutor.execute
-
-    def counted(executor, dag, *args, **kwargs):
-        executions.append(dag)
-        return orig(executor, dag, *args, **kwargs)
-
-    monkeypatch.setattr(StreamingExecutor, "execute", counted)
+    executions.clear()
     groups = D.minhash_lsh_duplicate_groups(ds, num_perm=64, bands=16,
                                             verify_threshold=0.7)
-    monkeypatch.undo()
     assert len(executions) == 5
     mapping = dict(zip(groups.id, groups.canonical_id))
     assert all(mapping.get(80 + j) == j for j in range(5))
     assert groups.equals(D.minhash_lsh_duplicate_groups(
         ds, num_perm=64, bands=16, verify_threshold=0.7, clustering="driver"))
+
+
+def test_exact_dedup_is_one_execution(ray_session, doc_table, executions):
+    """Hash, keyed exchange and reduce run as one Ray Data execution."""
+    import ray.data as rd
+
+    ds = rd.from_arrow(doc_table).repartition(4).materialize()
+    executions.clear()
+    out = D.exact_dedup(ds).to_pandas()
+    assert len(executions) == 1
+    assert sorted(out.doc_id) == list(range(80)) + list(range(85, 90))
+
+
+def test_connected_components_chain_across_partitions(ray_session):
+    """A chain whose every edge joins two different partitions of the
+    round exchange: labels travel only through the rows homed at both
+    endpoints. Matches the union-find oracle."""
+    import pandas as pd
+    import ray.data as rd
+
+    from dataprof_ray.pipelines.partitioning import multikey_parts
+
+    cand = np.arange(1000, 3000, dtype=np.int64)
+    part = multikey_parts(pa.table({"home": cand}), ["home"], 8)
+    chain = [0]
+    for i in range(1, len(cand)):
+        if part[i] != part[chain[-1]]:
+            chain.append(i)
+        if len(chain) == 40:
+            break
+    nodes = cand[chain]
+    assert (part[chain][1:] != part[chain][:-1]).all()
+    # larger id first, so each round moves the minimum label one hop down
+    edges_df = pd.DataFrame({"src": nodes[1:][::-1], "dst": nodes[:-1][::-1]})
+    edges = rd.from_pandas(edges_df).repartition(3)
+    got = (D.connected_components(edges, partitions=8)
+           .to_pandas().sort_values("node").reset_index(drop=True))
+    want = (D._driver_union_find(edges_df)
+            .rename(columns={"id": "node", "canonical_id": "label"})
+            .sort_values("node").reset_index(drop=True))
+    pd.testing.assert_frame_equal(got, want)
+    assert (got["label"] == nodes.min()).all()
