@@ -45,8 +45,8 @@ _DOC_COLS = [
 def _read(sf_dir: str, table: str, columns=None, **kwargs):
     # one testdata table = one parquet file: Ray's default split (64 read
     # tasks over one row group) re-reads the file per task, measured 2x
-    # slower than 16 blocks at sf0.1; 16 also keeps downstream actor pools
-    # fed (a 1-block read serializes them)
+    # slower than 16 blocks at sf0.1; 16 also gives downstream per-block
+    # tasks work to spread (a 1-block read serializes them)
     from dataprof_ray.sources.readers import read_parquet
 
     kwargs.setdefault("override_num_blocks", 16)
@@ -1018,7 +1018,7 @@ def _sales_by_segment(sf_dir: str) -> pd.DataFrame:
     customer = _read(sf_dir, "customer", columns=["c_custkey", "c_mktsegment"])
     joined = broadcast_join(orders, customer, big_key="o_custkey",
                             small_key="c_custkey", columns=["c_mktsegment"],
-                            how="inner", concurrency=(1, 4))
+                            how="inner")
 
     def add_cents(b: pa.Table) -> pa.Table:
         cents = _int_away(b.column("o_totalprice"))
@@ -1063,10 +1063,10 @@ def _topk_cosine(sf_dir: str) -> pd.DataFrame:
     from dataprof_ray.pipelines.similarity import brute_force_topk
 
     queries, qids = _load_queries(sf_dir)
-    # single-file read = ONE block = a serialized actor pool; split it
+    # single-file read = ONE block = one scoring task; split it into 16
     ds = _read(sf_dir, "embeddings", columns=["vec_id", "embedding"],
                override_num_blocks=16)
-    out = brute_force_topk(ds, queries, k=10, concurrency=(1, 4))
+    out = brute_force_topk(ds, queries, k=10)
     out["query_id"] = out["query_id"].map(lambda i: qids[i]).astype(np.int64)
     out["cosine"] = round_away(out["cosine"], 4)
     return out
@@ -1229,13 +1229,13 @@ def _revenue_by_region(sf_dir: str) -> pd.DataFrame:
     region = _read(sf_dir, "region", columns=["r_regionkey", "r_name"])
     j = broadcast_join(orders, customer, big_key="o_custkey",
                        small_key="c_custkey", columns=["c_nationkey"],
-                       how="inner", concurrency=(1, 4))
+                       how="inner")
     j = broadcast_join(j, nation, big_key="c_nationkey",
                        small_key="n_nationkey", columns=["n_regionkey"],
-                       how="inner", concurrency=(1, 4))
+                       how="inner")
     j = broadcast_join(j, region, big_key="n_regionkey",
                        small_key="r_regionkey", columns=["r_name"],
-                       how="inner", concurrency=(1, 4))
+                       how="inner")
 
     def add_cents(b: pa.Table) -> pa.Table:
         cents = _int_away(b.column("o_totalprice"))
@@ -1477,7 +1477,7 @@ def _ivf_topk(sf_dir: str) -> pd.DataFrame:
     queries, qids = _load_queries(sf_dir)
     ds = _read(sf_dir, "embeddings", columns=["vec_id", "embedding"],
                override_num_blocks=16)
-    out = ivf_topk(ds, queries, k=10, n_cells=8, nprobe=4, concurrency=(1, 4))
+    out = ivf_topk(ds, queries, k=10, n_cells=8, nprobe=4)
     if not out.empty:
         out["query_id"] = out["query_id"].map(lambda i: qids[i]).astype(np.int64)
     return out
@@ -1491,8 +1491,8 @@ def _ivf_recall(sf_dir: str) -> pd.DataFrame:
 
     queries, qids = _load_queries(sf_dir)
     ds = _read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
-    exact = brute_force_topk(ds, queries, k=10, concurrency=(1, 4))
-    approx = ivf_topk(ds, queries, k=10, n_cells=8, nprobe=4, concurrency=(1, 4))
+    exact = brute_force_topk(ds, queries, k=10)
+    approx = ivf_topk(ds, queries, k=10, n_cells=8, nprobe=4)
     recalls = []
     for qi in range(len(qids)):
         e = set(exact[exact.query_id == qi].vec_id)
@@ -1519,7 +1519,7 @@ def _domain_rollup(sf_dir: str) -> pd.DataFrame:
 
 
 def _image_features(sf_dir: str) -> pd.DataFrame:
-    """Multimodal actor-pool stage over a deterministic synthetic media table
+    """Multimodal task stages over a deterministic synthetic media table
     (decode stubbed per TESTDATA constraints; plumbing is real)."""
     import ray.data as rd
 
@@ -2168,7 +2168,7 @@ def _quantization_audit(sf_dir: str) -> pd.DataFrame:
     queries, qids = _load_queries(sf_dir)
     ds = _read(sf_dir, "embeddings", columns=["vec_id", "embedding"],
                override_num_blocks=16)
-    exact = brute_force_topk(ds, queries, k=10, concurrency=(1, 4))
+    exact = brute_force_topk(ds, queries, k=10)
     approx = quantized_topk(quantize_embeddings(ds), queries, k=10)
     recalls = []
     for qi in range(len(qids)):

@@ -5,7 +5,7 @@ A from-scratch rebuild of the capabilities of AndreaBozzo/dataprof (reference at
 
 - ``functions/``   pure kernels: type inference, date parsing, numeric order stats,
                    pattern detection, quality dimensions (vectorized, no Ray deps).
-- ``stages/``      ``map_batches`` stage callables (stateless fns + actor-pool classes).
+- ``stages/``      ``map_batches`` stage callables (per-batch kernels, run as tasks).
 - ``sources/``     readers (parquet corpus with column pruning, CSV sniffing, JSON policy).
 - ``pipelines/``   end-to-end pipelines: quality_filter (flagship), profile rollup,
                    dedup family, similarity search, text analysis.

@@ -8,7 +8,7 @@ C4 heuristic-filter families (public knowledge), made deterministic.
 
 Everything here is pure-Python/numpy, deterministic, and safe to call inside
 ``map_batches`` workers. Model-like state (stopword tables, the trigram LM)
-is built once per process/actor, never per batch.
+is built once per worker process (``shared_model``), never per batch.
 
 EXTRACTION_VERSION pins the html->text function: the byte-identical-per-url
 contract (BASELINE.md) requires it never changes in-stream; bump the version
@@ -84,7 +84,7 @@ class LangIdModel:
 
     Scores each language by the fraction of a document's tokens found in its
     function-word table; confidence is the winner's share of total evidence.
-    Deterministic; built once per actor in ``__init__``.
+    Deterministic; built once per worker process (``shared_model``).
     """
 
     # Rust-regex spelling of python's [^\W\d_]: \w == alnum + _, \d ==

@@ -37,12 +37,6 @@ def round_away(values, decimals: int):
     return np.sign(a) * np.floor(np.abs(a) * factor + 0.5) / factor
 
 
-def _base_schema(ds):
-    """Input Arrow schema when knowable (None for schema-less empties)."""
-    sc = ds.schema()
-    return getattr(sc, "base_schema", None) if sc else None
-
-
 def preagg_groupby(
     ds,
     keys: Sequence[str],
@@ -195,7 +189,7 @@ def argmax_by(
                                       batch_format="pyarrow"),
                        keys, nullable_cogroup(reduce_batch),
                        partitions=partitions),
-        fallback_schema=_base_schema(ds),  # all-empty input
+        fallback_ds=ds,  # all-empty input
     )
     if out.empty and not len(out.columns):
         return out  # schema-less empty input: nothing to sort
@@ -342,8 +336,7 @@ def topk_per_group(
                          partitions=partitions)
     if not as_pandas:
         return out
-    # fallback_schema: all-empty input
-    out = to_pandas_exact(out, fallback_schema=_base_schema(ds))
+    out = to_pandas_exact(out, fallback_ds=ds)  # fallback: all-empty input
     if out.empty and not len(out.columns):
         return out  # schema-less empty input: nothing to sort
     return out.sort_values(keys + order_cols).reset_index(drop=True)

@@ -40,7 +40,8 @@ import pandas as pd
 import pyarrow as pa
 
 from dataprof_ray.pipelines.partitioning import (DEFAULT_PARTITIONS,
-                                                 arrow_out, keyed_exchange)
+                                                 arrow_out, arrow_schema,
+                                                 keyed_exchange)
 
 logger = logging.getLogger(__name__)
 
@@ -693,7 +694,7 @@ def minhash_lsh_duplicate_groups(
         edges = _dedup_edges(edges)
     # ONE execution of the signature + shuffle pipeline; everything below
     # (candidate-id collection, verify filter, clustering) re-reads the
-    # materialized edge blocks instead of re-running the actor pool
+    # materialized edge blocks instead of re-running the signature stage
     edges = edges.materialize()
     if verify_threshold is not None:
         import ray
@@ -1380,7 +1381,7 @@ def dedup_against_prior(new_ds, prior_ds, text_col: str = "text",
     bloom_ref = ray.put(bloom)
     # the verify union needs one id column type; prior rows carry typed
     # nulls (their ids are never read), so string ids (urls) work too
-    id_type = new_ds.schema().base_schema.field(id_col).type         if hasattr(new_ds.schema(), "base_schema")         else new_ds.schema().field(id_col).type
+    id_type = arrow_schema(new_ds).field(id_col).type
 
     def keep_misses(batch: pa.Table) -> pa.Table:
         bf = ray.get(bloom_ref)
@@ -1665,7 +1666,7 @@ def _remove_spans_partitioned(ds, dup_ds, n_dup, n, id_col, text_col,
 
     from dataprof_ray.state.bloom import bloom_from_u64_batches
 
-    id_type = ds.schema().base_schema.field(id_col).type
+    id_type = arrow_schema(ds).field(id_col).type
     bloom = bloom_from_u64_batches(
         dup_ds,
         lambda b: b.column("h").to_numpy(zero_copy_only=False)

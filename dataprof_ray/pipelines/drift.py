@@ -26,7 +26,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from dataprof_ray.pipelines.partitioning import keyed_exchange
+from dataprof_ray.pipelines.partitioning import arrow_schema, keyed_exchange
 
 
 def _finite_min_max(ds, col: str) -> tuple[float, float]:
@@ -170,7 +170,7 @@ def drift_report(ds_a, ds_b, columns: Optional[list] = None,
     columns use shared-bin histograms, string columns categorical
     frequencies; other types are skipped. ``columns`` restricts the scan
     (recommended at scale: each column costs an extra pass per side)."""
-    schema = ds_a.schema().base_schema
+    schema = arrow_schema(ds_a)
     names = columns if columns is not None else schema.names
     rows = []
     for name in names:

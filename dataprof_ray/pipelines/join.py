@@ -94,7 +94,6 @@ def broadcast_join(
     small_key: str,
     columns: Sequence[str],
     how: str = "inner",
-    concurrency=None,
     batch_size: Optional[int] = 4096,
 ):
     """Join a large Dataset against a small side without any shuffle.
@@ -107,19 +106,15 @@ def broadcast_join(
     Ray fuses a chain of broadcast joins into one task pipeline, and —
     unlike the actor-pool form this replaced — a chain of joins cannot
     starve a small cluster by each pool pinning a CPU (three chained
-    1-CPU pools on a 4-CPU test node deadlocked the read stage).
-    ``concurrency`` optionally caps concurrent tasks (None = let the
-    streaming executor size it)."""
+    1-CPU pools on a 4-CPU test node deadlocked the read stage)."""
     import ray
 
     if how not in ("inner", "left"):
         raise ValueError(f"unsupported join type: {how}")
     small_schema = small.schema if isinstance(small, pa.Table) \
-        else small.schema().base_schema
+        else arrow_schema(small)
     types = [small_schema.field(c).type for c in columns]
     lookup_ref = ray.put(broadcast_lookup(small, small_key, columns))
-    if isinstance(concurrency, tuple):  # legacy actor-pool sizing
-        concurrency = concurrency[1]
 
     def join_batch(batch: pa.Table) -> pa.Table:
         from dataprof_ray.pipelines.textstats import _broadcast_cached
@@ -129,9 +124,7 @@ def broadcast_join(
         return joiner(batch)
 
     return big_ds.map_batches(
-        join_batch, batch_format="pyarrow", batch_size=batch_size,
-        concurrency=concurrency,
-    )
+        join_batch, batch_format="pyarrow", batch_size=batch_size)
 
 
 # --------------------------------------------------------- hash-partitioned join
@@ -166,6 +159,7 @@ def _key_parts(column: pa.ChunkedArray | pa.Array, partitions: int) -> np.ndarra
 # other pandas-cogroup operator via pipelines.partitioning.
 from dataprof_ray.pipelines.partitioning import (  # noqa: E402
     NULLABLE_DTYPES as _NULLABLE_DTYPES,
+    arrow_schema,
     nullable_mapper as _nullable_mapper,
 )
 
@@ -286,8 +280,8 @@ def hash_join(
         # build-side salting REPLICATES right rows; an unmatched replica
         # would surface salt_factor times in right/outer output
         raise ValueError("hot_keys salting supports inner/left joins only")
-    left_schema = left.schema().base_schema
-    right_schema = right.schema().base_schema
+    left_schema = arrow_schema(left)
+    right_schema = arrow_schema(right)
     left_cols = list(left_schema.names)
     # plain dicts of Arrow types: capturing the Dataset objects themselves
     # in the tag closures would serialize whole execution plans into every
@@ -440,8 +434,8 @@ def asof_join(
 
     if direction not in ("backward", "forward", "nearest"):
         raise ValueError(f"unknown asof direction: {direction}")
-    left_schema = left.schema().base_schema
-    right_schema = right.schema().base_schema
+    left_schema = arrow_schema(left)
+    right_schema = arrow_schema(right)
     left_cols = list(left_schema.names)
     right_columns = list(right_columns) if right_columns is not None else \
         [c for c in right_schema.names if c not in (key, right_ts)]
@@ -567,8 +561,8 @@ def interval_join(
     upper = pd.Timedelta(upper)
     if lower > upper:
         raise ValueError(f"lower bound {lower} exceeds upper bound {upper}")
-    left_schema = left.schema().base_schema
-    right_schema = right.schema().base_schema
+    left_schema = arrow_schema(left)
+    right_schema = arrow_schema(right)
     left_cols = list(left_schema.names)
     right_columns = list(right_columns) if right_columns is not None else \
         [c for c in right_schema.names if c not in (key, right_ts)]
@@ -688,7 +682,6 @@ def semi_anti_join(
     big_key: str,
     small_key: str,
     how: str = "semi",
-    concurrency=None,
     batch_size: Optional[int] = 4096,
 ):
     """Existence join against a broadcast key set: ``semi`` keeps big-side
@@ -716,8 +709,6 @@ def semi_anti_join(
     keys = keys.drop_null()  # SQL: a NULL small-side key matches nothing
     keys_ref = ray.put(keys)
     keep_matched = how == "semi"
-    if isinstance(concurrency, tuple):  # legacy actor-pool sizing
-        concurrency = concurrency[1]
 
     def membership(batch: pa.Table) -> pa.Table:
         # stateless tasks + per-worker broadcast cache (fusable; no pinned
@@ -734,5 +725,4 @@ def semi_anti_join(
         return batch.filter(mask)
 
     return big_ds.map_batches(
-        membership, batch_format="pyarrow", batch_size=batch_size,
-        concurrency=concurrency)
+        membership, batch_format="pyarrow", batch_size=batch_size)

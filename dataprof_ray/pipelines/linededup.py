@@ -48,7 +48,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from dataprof_ray.pipelines.partitioning import (DEFAULT_PARTITIONS,
-                                                 keyed_exchange)
+                                                 arrow_schema, keyed_exchange)
 
 _NEWLINE = "\n"
 # explicit ASCII whitespace set, mirrored by the SQL oracle's
@@ -227,7 +227,7 @@ def _line_dedup_partitioned(ds, common_ds, text_col, id_col, include_text,
 
     from dataprof_ray.state.bloom import bloom_from_u64_batches
 
-    schema = ds.schema().base_schema
+    schema = arrow_schema(ds)
     id_type = schema.field(id_col).type
     keep_types = {c: schema.field(c).type for c in passthrough}
     n_common = common_ds.count()

@@ -23,8 +23,7 @@ are not plain hash co-location keep their own groupby
 - ``packing`` partitions on meaning, not a hash: the pack part is an
   output column.
 - ``profile``'s tree merge uses ``grp`` as the merged ``part_key``.
-- ``ranking.global_rank`` splits on sketch ranges; ``sampling.shuffle_rank``
-  ranks whole md5-prefix subshards, which are ranges of the key order.
+- ``ranking.global_rank`` splits on sketch ranges of the sort key.
 - ``dedup.semantic_dedup`` runs one group per centroid cell.
 """
 
@@ -155,7 +154,23 @@ def nullable_cogroup(fn):
     return wrapped
 
 
-def to_pandas_exact(ds, fallback_schema: "pa.Schema" = None) -> "pd.DataFrame":
+def arrow_schema(ds) -> "pa.Schema | None":
+    """The Arrow schema a ``batch_format="pyarrow"`` UDF over ``ds`` sees;
+    None for a schema-less empty Dataset. Pandas blocks (a ``from_pandas``
+    input, or a UDF that returned a DataFrame) report a
+    ``PandasBlockSchema``, which has no ``.field`` and types a string
+    column as ``object``; for those, the schema is read from one
+    metadata-free Arrow map of the first non-empty block."""
+    schema = ds.schema()
+    base = schema.base_schema if schema is not None else None
+    if base is None or isinstance(base, pa.Schema):
+        return base
+    schema = ds.map_batches(lambda b: b.replace_schema_metadata(None),
+                            batch_format="pyarrow").schema()
+    return schema.base_schema if schema is not None else None
+
+
+def to_pandas_exact(ds, fallback_ds=None) -> "pd.DataFrame":
     """Collect a (small) Dataset to pandas WITHOUT the int64-with-nulls ->
     float64 laundering of ``Dataset.to_pandas``: concatenate Arrow blocks,
     convert with nullable dtypes, then downcast any all-valid nullable
@@ -164,17 +179,16 @@ def to_pandas_exact(ds, fallback_schema: "pa.Schema" = None) -> "pd.DataFrame":
     pd.NA) when they are.
 
     An all-empty dataset yields ZERO batches and (after a groupby) no
-    inferable schema; pass ``fallback_schema`` (typically the INPUT's
-    Arrow schema) so the empty frame still carries typed columns instead
-    of crashing callers that drop/select."""
+    inferable schema; pass ``fallback_ds`` (typically the INPUT Dataset)
+    so the empty frame still carries its typed columns instead of
+    crashing callers that drop/select. Its schema is read only then."""
     import pandas as pd
 
     tables = list(ds.iter_batches(batch_format="pyarrow", batch_size=None))
     if not tables:
-        schema = ds.schema()
-        base = getattr(schema, "base_schema", None) if schema else None
-        if base is None:
-            base = fallback_schema
+        base = arrow_schema(ds)
+        if base is None and fallback_ds is not None:
+            base = arrow_schema(fallback_ds)
         if base is None:
             return pd.DataFrame()
         tables = [base.empty_table()]

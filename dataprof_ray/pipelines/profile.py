@@ -36,7 +36,7 @@ from typing import Optional
 import numpy as np
 import pyarrow as pa
 
-from dataprof_ray.pipelines.partitioning import arrow_out
+from dataprof_ray.pipelines.partitioning import arrow_out, arrow_schema
 
 from dataprof_ray import schema as S
 from dataprof_ray.functions import kernels as K
@@ -469,8 +469,7 @@ def profile_dataset(
     if not coll.columns:
         # Zero-row input: keep the schema's columns with empty stats
         # (record_batch_analyzer.rs:128-155 contract).
-        arrow_schema = ds.schema().base_schema
-        coll.update_table(arrow_schema.empty_table())
+        coll.update_table(arrow_schema(ds).empty_table())
     scan_ms = (time.perf_counter() - t0) * 1000.0
     return assemble_report(
         coll,

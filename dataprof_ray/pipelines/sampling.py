@@ -452,8 +452,9 @@ def shuffle_rank(ds, id_col: str = "doc_id", hex_digits: int = 1,
     folds sparse per-batch subshard counts (subshard = first
     ``min(hex_digits + sub_digits, 4)`` hex chars; 16^total cells,
     <=0.5 MB dense) into broadcast prefix offsets; pass 2 ranks in
-    COARSE hash-bucket partitions of the subshard, so task memory is
-    corpus / ``partitions`` (raise ``partitions`` with the cluster).
+    COARSE hash-bucket partitions of the subshard (one ``keyed_exchange``
+    on it), so task memory is corpus / ``partitions`` (raise
+    ``partitions`` with the cluster).
     Because the subshard is a prefix of the key, ascending subshards +
     in-subshard key order IS the shard's global key order. The keyed
     stream is materialized between the passes so the upstream pipeline
@@ -502,25 +503,16 @@ def shuffle_rank(ds, id_col: str = "doc_id", hex_digits: int = 1,
     offsets = csum - np.repeat(shard_starts, 16 ** eff_sub)
     offsets_ref = ray.put(offsets)
 
-    from dataprof_ray.pipelines.partitioning import DEFAULT_PARTITIONS
-
-    # COARSE-partition the rank: one Ray group per hash bucket of
-    # subshards (64 vectorized pandas tasks), never one per subshard
-    # (16^4 tiny groups is the measured per-tiny-group hotspot). The
-    # subshard offsets still make every sub independent, so a task only
-    # needs ITS rows: task memory = corpus / partitions — raise
+    # COARSE-partition the rank: one keyed-exchange partition per hash
+    # bucket of subshards (64 vectorized pandas tasks), never one group
+    # per subshard (16^4 tiny groups is the measured per-tiny-group
+    # hotspot). The subshard offsets make every sub independent, so a
+    # task only needs ITS rows: task memory = corpus / partitions — raise
     # ``partitions`` with the cluster, the offsets table doesn't change.
     if partitions is not None and partitions < 1:
         raise ValueError(f"partitions must be >= 1, got {partitions}")
-    rank_parts = partitions if partitions is not None else DEFAULT_PARTITIONS
-
-    def add_rpart(batch: pa.Table) -> pa.Table:
-        sub = batch.column("__sub").to_numpy(zero_copy_only=False)
-        return batch.append_column(
-            "__rpart", pa.array(sub % rank_parts, pa.int64()))
 
     def rank(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.drop(columns="__rpart")
         if df.empty:
             out = df.drop(columns=["__key", "__sub"])
             out["pos"] = pd.Series([], dtype=np.int64)
@@ -533,10 +525,9 @@ def shuffle_rank(ds, id_col: str = "doc_id", hex_digits: int = 1,
         df["pos"] = base + within
         return df.drop(columns=["__key", "__sub"])
 
-    return (keyed.map_batches(add_rpart, batch_format="pyarrow")
-            .groupby("__rpart")
-            # nullable_cogroup: payload ints with nulls must stay ints
-            .map_groups(nullable_cogroup(rank), batch_format="pyarrow"))
+    # nullable_cogroup: payload ints with nulls must stay ints
+    return keyed_exchange(keyed, ["__sub"], nullable_cogroup(rank),
+                          partitions=partitions)
 
 
 def global_shuffle(ds, id_col: str = "doc_id", hex_digits: int = 1,

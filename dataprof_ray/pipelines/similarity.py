@@ -8,8 +8,9 @@
   sample (deterministic k-means), broadcast, and each batch scores only the
   rows assigned to the query's ``nprobe`` nearest cells. Same merge.
 
-Design note for 100 TB: both operators stream; per-batch state (query matrix,
-centroids) is read from the object store by reference inside the stage, not
+Design note for 100 TB: both operators stream as stateless tasks; the
+broadcast state (query matrix, centroids, probe cells) is one ``ray.put``
+read once per worker process (``textstats._broadcast_cached``), not
 re-shipped per batch. Exact top-k over everything is the *baseline*; IVF
 bounds compute by pruning ~(1 - nprobe/ncells) of rows at equal merge cost.
 """
@@ -49,76 +50,103 @@ def _normalize_rows(m: np.ndarray) -> np.ndarray:
     return m / np.maximum(norms, 1e-12)
 
 
-class BruteForceScorer:
-    """Actor-pool stage: local cosine top-k per batch against the broadcast
-    query matrix (one ray.get in __init__, shared across batches)."""
+def _score_batch(batch: pa.Table, state_ref, k: int, vec_col: str,
+                 id_col: str) -> pa.Table:
+    """One batch's local cosine top-k per query, as a stateless task. The
+    broadcast ``(queries, centroids, probe_cells)`` is read once per worker
+    process. Without centroids every row is scored (exact); with them, only
+    rows whose nearest centroid is one of the query's ``probe_cells``
+    (IVF)."""
+    from dataprof_ray.pipelines.textstats import _broadcast_cached
 
-    def __init__(self, query_ref, k: int, vec_col: str, id_col: str) -> None:
-        import ray
-
-        queries = ray.get(query_ref) if not isinstance(query_ref, np.ndarray) else query_ref
-        self.queries = _normalize_rows(np.atleast_2d(np.asarray(queries, dtype=np.float64)))
-        self.k = k
-        self.vec_col = vec_col
-        self.id_col = id_col
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table({"query_id": pa.array([], pa.int64()),
-                             self.id_col: pa.array([], pa.int64()),
-                             "cosine": pa.array([], pa.float64())})
-        vecs = _normalize_rows(_to_matrix(batch.column(self.vec_col)))
-        ids = batch.column(self.id_col).to_numpy(zero_copy_only=False)
-        sims = vecs @ self.queries.T  # (n, q)
-        n, q = sims.shape
-        k = min(self.k, n)
-        out_q, out_id, out_sim = [], [], []
-        for qi in range(q):
-            top = np.argpartition(-sims[:, qi], k - 1)[:k]
-            out_q.extend([qi] * k)
-            out_id.extend(ids[top].tolist())
-            out_sim.extend(sims[top, qi].tolist())
-        return pa.table({
-            "query_id": pa.array(out_q, pa.int64()),
-            self.id_col: pa.array(out_id, pa.int64()),
-            "cosine": pa.array(out_sim, pa.float64()),
-        })
+    queries, centroids, probe_cells = _broadcast_cached(state_ref)
+    vecs = _normalize_rows(_to_matrix(batch.column(vec_col)))
+    ids = batch.column(id_col).to_numpy(zero_copy_only=False)
+    if centroids is None:
+        all_sims = vecs @ queries.T  # (n, q)
+    else:
+        cells = (vecs @ centroids.T).argmax(axis=1)
+    out_q, out_id, out_sim = [], [], []
+    for qi in range(len(queries)):
+        if centroids is None:
+            sub_ids, sims = ids, all_sims[:, qi]
+        else:
+            mask = np.isin(cells, probe_cells[qi])
+            sub_ids, sims = ids[mask], vecs[mask] @ queries[qi]
+        if not len(sims):
+            continue
+        kq = min(k, len(sims))
+        top = np.argpartition(-sims, kq - 1)[:kq]
+        out_q.extend([qi] * kq)
+        out_id.extend(sub_ids[top].tolist())
+        out_sim.extend(sims[top].tolist())
+    return pa.table({
+        "query_id": pa.array(out_q, pa.int64()),
+        id_col: pa.array(out_id, pa.int64()),
+        "cosine": pa.array(out_sim, pa.float64()),
+    })
 
 
-def brute_force_topk(ds, queries: np.ndarray, k: int = 10,
-                     vec_col: str = "embedding", id_col: str = "vec_id",
-                     concurrency=(1, 8)):
-    """Exact cosine top-k for each query row. Returns a pandas DataFrame
-    (query_id, id, cosine) sorted by (query_id, -cosine, id)."""
+def _empty_topk(id_col: str):
+    """The typed zero-row top-k result (an empty corpus scores nothing)."""
+    import pandas as pd
+
+    return pd.DataFrame({"query_id": pd.Series([], dtype=np.int64),
+                         id_col: pd.Series([], dtype=np.int64),
+                         "cosine": pd.Series([], dtype=np.float64)})
+
+
+def _topk(ds, queries: np.ndarray, k: int, vec_col: str, id_col: str,
+          centroids: Optional[np.ndarray] = None, nprobe: int = 0):
+    """Score every batch as a task against one broadcast object, then k-way
+    merge the (batches x k) candidates on the driver. The IVF probe cells
+    are chosen here, once. Returns a pandas DataFrame (query_id, id,
+    cosine) sorted by (query_id, -cosine, id); typed and empty when there
+    is nothing to score."""
     import ray
 
-    query_ref = ray.put(np.atleast_2d(np.asarray(queries, dtype=np.float64)))
+    queries = _normalize_rows(np.atleast_2d(np.asarray(queries, dtype=np.float64)))
+    probe_cells = None if centroids is None else \
+        np.argsort(-(queries @ centroids.T), axis=1)[:, :nprobe]
+    state_ref = ray.put((queries, centroids, probe_cells))
     candidates = ds.map_batches(
-        BruteForceScorer, batch_format="pyarrow",
-        fn_constructor_kwargs=dict(query_ref=query_ref, k=k, vec_col=vec_col, id_col=id_col),
-        concurrency=concurrency,
+        _score_batch, batch_format="pyarrow",
+        fn_kwargs=dict(state_ref=state_ref, k=k, vec_col=vec_col, id_col=id_col),
     ).to_pandas()
-    if candidates.empty:  # empty corpus: typed empty frame, not a KeyError
-        import pandas as pd
-
-        return pd.DataFrame(columns=["query_id", id_col, "cosine"])
-    # driver-side k-way merge of the tiny candidate set
-    out = (
+    if candidates.empty:
+        return _empty_topk(id_col)
+    return (
         candidates.sort_values(["query_id", "cosine", id_col],
                                ascending=[True, False, True])
         .groupby("query_id", sort=True)
         .head(k)
         .reset_index(drop=True)
     )
-    return out
+
+
+def brute_force_topk(ds, queries: np.ndarray, k: int = 10,
+                     vec_col: str = "embedding", id_col: str = "vec_id"):
+    """Exact cosine top-k for each query row. Returns a pandas DataFrame
+    (query_id, id, cosine) sorted by (query_id, -cosine, id)."""
+    return _topk(ds, queries, k, vec_col, id_col)
+
+
+def _sample_matrix(ds, rows: int, vec_col: str) -> np.ndarray:
+    """Up to ``rows`` normalized vectors on the driver; (0, 0) when the
+    corpus is empty."""
+    sample = ds.limit(rows).to_pandas()
+    if sample.empty:
+        return np.zeros((0, 0))
+    return _normalize_rows(np.stack(sample[vec_col].map(np.asarray)))
 
 
 def train_centroids(ds, n_cells: int = 16, sample_rows: int = 4096,
                     vec_col: str = "embedding", iters: int = 10, seed: int = 5) -> np.ndarray:
     """Deterministic mini k-means on a driver-side sample (the only
     materialized data is `sample_rows` vectors)."""
-    sample = ds.limit(sample_rows).to_pandas()
-    x = _normalize_rows(np.stack(sample[vec_col].map(np.asarray)))
+    x = _sample_matrix(ds, sample_rows, vec_col)
+    if not len(x):
+        return x
     rng = np.random.default_rng(seed)
     centroids = x[rng.choice(len(x), size=min(n_cells, len(x)), replace=False)]
     for _ in range(iters):
@@ -143,8 +171,9 @@ def train_centroids_distributed(ds, n_cells: int = 16, iters: int = 10,
     rows)."""
     import ray
 
-    sample = ds.limit(init_sample_rows).to_pandas()
-    x0 = _normalize_rows(np.stack(sample[vec_col].map(np.asarray)))
+    x0 = _sample_matrix(ds, init_sample_rows, vec_col)
+    if not len(x0):
+        return x0
     rng = np.random.default_rng(seed)
     centroids = x0[rng.choice(len(x0), size=min(n_cells, len(x0)),
                               replace=False)].copy()
@@ -188,81 +217,22 @@ def train_centroids_distributed(ds, n_cells: int = 16, iters: int = 10,
     return centroids
 
 
-class IVFScorer:
-    """Actor-pool stage: score only rows whose nearest centroid is one of the
-    query's nprobe cells."""
-
-    def __init__(self, query_ref, centroid_ref, k: int, nprobe: int,
-                 vec_col: str, id_col: str) -> None:
-        import ray
-
-        self.queries = _normalize_rows(np.atleast_2d(ray.get(query_ref)))
-        self.centroids = ray.get(centroid_ref)
-        qc = self.queries @ self.centroids.T
-        self.probe_cells = np.argsort(-qc, axis=1)[:, :nprobe]  # (q, nprobe)
-        self.k = k
-        self.vec_col = vec_col
-        self.id_col = id_col
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0:
-            return pa.table({"query_id": pa.array([], pa.int64()),
-                             self.id_col: pa.array([], pa.int64()),
-                             "cosine": pa.array([], pa.float64())})
-        vecs = _normalize_rows(_to_matrix(batch.column(self.vec_col)))
-        ids = batch.column(self.id_col).to_numpy(zero_copy_only=False)
-        cells = (vecs @ self.centroids.T).argmax(axis=1)
-        out_q, out_id, out_sim = [], [], []
-        for qi in range(len(self.queries)):
-            mask = np.isin(cells, self.probe_cells[qi])
-            if not mask.any():
-                continue
-            sub = vecs[mask]
-            sub_ids = ids[mask]
-            sims = sub @ self.queries[qi]
-            k = min(self.k, len(sub))
-            top = np.argpartition(-sims, k - 1)[:k]
-            out_q.extend([qi] * k)
-            out_id.extend(sub_ids[top].tolist())
-            out_sim.extend(sims[top].tolist())
-        return pa.table({
-            "query_id": pa.array(out_q, pa.int64()),
-            self.id_col: pa.array(out_id, pa.int64()),
-            "cosine": pa.array(out_sim, pa.float64()),
-        })
-
-
 def ivf_topk(ds, queries: np.ndarray, k: int = 10, n_cells: int = 16, nprobe: int = 4,
-             vec_col: str = "embedding", id_col: str = "vec_id", concurrency=(1, 8),
+             vec_col: str = "embedding", id_col: str = "vec_id",
              distributed_training: bool = False):
     """Approximate (IVF-pruned) cosine top-k. Same output shape as
     brute_force_topk; recall grows with nprobe/n_cells.
     ``distributed_training=True`` trains centroids with full-data Lloyd
     passes (``train_centroids_distributed``) instead of the driver
     sample — use when the corpus's structure isn't captured by 4k rows."""
-    import ray
-
     if distributed_training:
         centroids = train_centroids_distributed(ds, n_cells=n_cells,
                                                 vec_col=vec_col)
     else:
         centroids = train_centroids(ds, n_cells=n_cells, vec_col=vec_col)
-    query_ref = ray.put(np.atleast_2d(np.asarray(queries, dtype=np.float64)))
-    centroid_ref = ray.put(centroids)
-    candidates = ds.map_batches(
-        IVFScorer, batch_format="pyarrow",
-        fn_constructor_kwargs=dict(query_ref=query_ref, centroid_ref=centroid_ref,
-                                   k=k, nprobe=nprobe, vec_col=vec_col, id_col=id_col),
-        concurrency=concurrency,
-    ).to_pandas()
-    if candidates.empty:
-        return candidates
-    return (
-        candidates.sort_values(["query_id", "cosine", id_col], ascending=[True, False, True])
-        .groupby("query_id", sort=True)
-        .head(k)
-        .reset_index(drop=True)
-    )
+    if not len(centroids):  # empty corpus: nothing to train on or score
+        return _empty_topk(id_col)
+    return _topk(ds, queries, k, vec_col, id_col, centroids, nprobe)
 
 
 # -------------------------------------------------------- int8 quantization
@@ -306,7 +276,7 @@ def quantize_embeddings(ds, vec_col: str = "embedding",
 
 def quantized_topk(ds, queries: np.ndarray, k: int = 10,
                    vec_col: str = "qvec", scale_col: str = "scale",
-                   id_col: str = "vec_id", concurrency=(1, 8)):
+                   id_col: str = "vec_id"):
     """Cosine top-k over int8-quantized vectors: a streaming dequantize
     stage (``scale * q`` — one broadcast multiply per batch) feeding the
     ONE tested top-k path, ``brute_force_topk``. Cosine is scale-invariant
@@ -325,7 +295,7 @@ def quantized_topk(ds, queries: np.ndarray, k: int = 10,
 
     dsq = ds.map_batches(dequant, batch_format="pyarrow")
     return brute_force_topk(dsq, queries, k=k, vec_col="embedding",
-                            id_col=id_col, concurrency=concurrency)
+                            id_col=id_col)
 
 
 # ------------------------------------------------------------ distributed PCA

@@ -1,1 +1,1 @@
-"""Reusable map_batches stage callables (stateless fns and actor classes)."""
+"""Reusable map_batches stage callables (per-batch kernels, run as tasks)."""

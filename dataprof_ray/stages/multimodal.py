@@ -14,12 +14,15 @@ struct. Every kernel is dual-path with a ``decode_ok`` marker and a
   (skip-marked test), deterministic stride stub otherwise.
 
 The Ray-side plumbing is real and tested on every branch: schemas,
-actor-pool stage signatures, batch sizing for wide binary rows, and
-output layout.
+stateless task stages, batch sizing for wide binary rows, and output
+layout. Each stage class is a per-batch kernel that loads no weights; its
+public wrapper builds it on the driver (so ``strict=True`` without the
+decoder raises at call time) and runs it as one ``map_batches`` task per
+batch.
 
 Batch-size guidance encoded here: payload stages default to small
-``batch_size`` (64) so batch x concurrency of multi-MB blobs fits worker
-heaps; callers scale it by payload size (SURVEY §"memory-aware").
+``batch_size`` (64) so a batch of multi-MB blobs fits a worker heap;
+callers scale it by payload size (SURVEY §"memory-aware").
 """
 
 from __future__ import annotations
@@ -55,16 +58,16 @@ def _try_import_pil():
 
 
 class ImageDecodeStage:
-    """Actor-pool stage: decode image payloads -> (height, width, channels).
+    """Per-batch kernel: decode image payloads -> (height, width, channels).
 
     Dual-path kernel, same contract as :class:`ImageResizeStage`: a REAL
-    PIL branch when the library imports (loaded once per actor), and a
-    deterministic hash-derived (h, w, c) stub otherwise (PIL is absent in
-    this container), so the pipeline shape, schema and actor lifecycle are
-    fully exercised either way. ``strict=True`` refuses to run on the stub
-    branch. A corrupt/undecodable payload on the real branch falls through
-    to the stub values rather than killing the task — one truncated image
-    must not fail a corpus-scale decode.
+    PIL branch when the library imports, and a deterministic hash-derived
+    (h, w, c) stub otherwise (PIL is absent in this container), so the
+    pipeline shape and schema are fully exercised either way.
+    ``strict=True`` refuses to run on the stub branch. A
+    corrupt/undecodable payload on the real branch falls through to the
+    stub values rather than killing the task — one truncated image must
+    not fail a corpus-scale decode.
     """
 
     def __init__(self, strict: bool = False) -> None:
@@ -111,14 +114,15 @@ class ImageDecodeStage:
 
 
 class ImageFeatureStage:
-    """Actor-pool stage: payload -> fixed-size feature vector.
+    """Per-batch kernel: payload -> fixed-size feature vector.
 
     Dual-path kernel: with PIL importable the feature is a 32-dim random
     projection of the DECODED grayscale pixel histogram (a real, cheap
-    visual signature; a learned model plugs into the same slot — loaded
-    once per actor in ``__init__``). Without PIL (this container) the
-    deterministic stub projects the raw payload byte histogram instead —
-    same schema, same determinism. ``strict=True`` refuses the stub
+    visual signature; a learned model would plug into the same slot
+    through a per-process cache such as ``docquality.shared_model``).
+    Without PIL (this container) the deterministic stub projects the raw
+    payload byte histogram instead — same schema, same determinism.
+    ``strict=True`` refuses the stub
     branch and raises on an undecodable payload on the real branch; with
     ``strict=False`` a corrupt payload falls back to the byte histogram,
     and the ``decode_ok`` column marks it False so downstream never mixes
@@ -171,7 +175,7 @@ class ImageFeatureStage:
 
 
 class ImageResizeStage:
-    """Actor-pool stage: resize image payloads to ``(target, target)`` and
+    """Per-batch kernel: resize image payloads to ``(target, target)`` and
     re-emit the bytes. PIL branch does a real thumbnail + re-encode; the
     deterministic stub re-emits a hash-derived payload of the right
     ballpark size so batch sizing / object-store behavior downstream is
@@ -243,7 +247,7 @@ def _try_import_soundfile():
 
 
 class FrameSampleStage:
-    """Actor-pool stage: sample frame positions from a video payload.
+    """Per-batch kernel: sample frame positions from a video payload.
 
     Dual-path kernel, same contract as the image stages: with pyav
     importable (absent in this container) the REAL branch demuxes the
@@ -309,7 +313,7 @@ class FrameSampleStage:
 
 
 class AudioFeatureStage:
-    """Actor-pool stage: audio payload -> duration + level stats.
+    """Per-batch kernel: audio payload -> duration + level stats.
 
     Triple-path kernel, strict-marked like the image stages:
 
@@ -423,48 +427,41 @@ class AudioFeatureStage:
         })
 
 
+def _run_as_tasks(ds, stage, batch_size: int):
+    """Run a driver-built kernel as stateless ``map_batches`` tasks."""
+    def run(batch: pa.Table) -> pa.Table:
+        return stage(batch)
+
+    return ds.map_batches(run, batch_format="pyarrow", batch_size=batch_size)
+
+
 def extract_audio_features(ds, sample_rate: int = 16_000, strict: bool = False,
-                           concurrency=(1, 4),
                            batch_size: int = DEFAULT_MEDIA_BATCH_SIZE):
-    return ds.map_batches(
-        AudioFeatureStage, batch_format="pyarrow", batch_size=batch_size,
-        concurrency=concurrency,
-        fn_constructor_kwargs={"sample_rate": sample_rate, "strict": strict},
-    )
+    return _run_as_tasks(
+        ds, AudioFeatureStage(sample_rate=sample_rate, strict=strict),
+        batch_size)
 
 
-def decode_images(ds, strict: bool = False, concurrency=(1, 4),
+def decode_images(ds, strict: bool = False,
                   batch_size: int = DEFAULT_MEDIA_BATCH_SIZE):
-    return ds.map_batches(ImageDecodeStage, batch_format="pyarrow",
-                          batch_size=batch_size, concurrency=concurrency,
-                          fn_constructor_kwargs={"strict": strict})
+    return _run_as_tasks(ds, ImageDecodeStage(strict=strict), batch_size)
 
 
-def extract_image_features(ds, strict: bool = False, concurrency=(1, 4),
+def extract_image_features(ds, strict: bool = False,
                            batch_size: int = DEFAULT_MEDIA_BATCH_SIZE):
-    return ds.map_batches(ImageFeatureStage, batch_format="pyarrow",
-                          batch_size=batch_size, concurrency=concurrency,
-                          fn_constructor_kwargs={"strict": strict})
+    return _run_as_tasks(ds, ImageFeatureStage(strict=strict), batch_size)
 
 
 def resize_images(ds, target: int = 224, strict: bool = False,
-                  concurrency=(1, 4),
                   batch_size: int = DEFAULT_MEDIA_BATCH_SIZE):
-    """Resize via an actor pool; small batches — payloads are large."""
-    return ds.map_batches(ImageResizeStage,
-                          fn_constructor_args=(target, strict),
-                          batch_format="pyarrow", concurrency=concurrency,
-                          batch_size=batch_size)
+    """Small batches by default: payloads are large."""
+    return _run_as_tasks(ds, ImageResizeStage(target, strict), batch_size)
 
 
 def sample_frames(ds, every_n: int = 10, strict: bool = False,
-                  concurrency=(1, 4),
                   batch_size: int = DEFAULT_MEDIA_BATCH_SIZE):
-    return ds.map_batches(
-        FrameSampleStage, batch_format="pyarrow", batch_size=batch_size,
-        concurrency=concurrency,
-        fn_constructor_kwargs={"every_n": every_n, "strict": strict},
-    )
+    return _run_as_tasks(
+        ds, FrameSampleStage(every_n=every_n, strict=strict), batch_size)
 
 
 def synthetic_media_table(n: int = 64, seed: int = 42) -> pa.Table:

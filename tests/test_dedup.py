@@ -739,3 +739,31 @@ def test_connected_components_chain_across_partitions(ray_session):
             .sort_values("node").reset_index(drop=True))
     pd.testing.assert_frame_equal(got, want)
     assert (got["label"] == nodes.min()).all()
+
+
+def test_dedup_against_prior_from_pandas_input(ray_session):
+    """A ``from_pandas`` new side (pandas blocks) reads its id type through
+    ``partitioning.arrow_schema``."""
+    import ray
+
+    prior, new = _inc_corpora()
+    out = D.dedup_against_prior(ray.data.from_pandas(new.to_pandas()),
+                                ray.data.from_pandas(prior.to_pandas()),
+                                fp_rate=0.5).to_pandas()
+    assert sorted(out["doc_id"]) == list(range(15, 40))
+
+
+def test_remove_duplicate_spans_partitioned_tier_from_pandas(ray_session):
+    import ray
+
+    texts = [f"shared prefix words one two three four five six seven {i}"
+             for i in range(6)] + ["lone document with nothing shared at all"]
+    t = pa.table({"doc_id": pa.array(range(len(texts)), pa.int64()),
+                  "text": pa.array(texts)})
+    want = (D.remove_duplicate_spans(ray.data.from_arrow(t), n=5)
+            .to_pandas().sort_values("doc_id").reset_index(drop=True))
+    got = (D.remove_duplicate_spans(ray.data.from_pandas(t.to_pandas()), n=5,
+                                    broadcast_limit=0)
+           .to_pandas().sort_values("doc_id").reset_index(drop=True))
+    assert got.equals(want)
+    assert got.loc[0, "text"] == texts[0] and got.loc[1, "text"] != texts[1]

@@ -616,3 +616,40 @@ def test_hash_join_stats_hook_reports_salting(ray_session):
     stats2 = {}
     hash_join(left, right, left_key="k", right_key="k", stats=stats2)
     assert stats2["salted"] is False and stats2["hot_keys"] == []
+
+
+def test_broadcast_join_from_pandas_input(ray_session, sides):
+    """``from_pandas`` inputs have pandas blocks, whose schema has no
+    ``.field``: both sides are read through ``partitioning.arrow_schema``
+    and give the rows of the Arrow input."""
+    import ray.data as rd
+
+    big, small = sides
+    kw = dict(big_key="k", small_key="id", columns=["label", "weight"],
+              how="left")
+    want = broadcast_join(big, small, **kw).to_pandas()
+    got = broadcast_join(rd.from_pandas(big.to_pandas()),
+                         rd.from_pandas(small.to_pandas()), **kw).to_pandas()
+    pd.testing.assert_frame_equal(
+        got.sort_values(["k", "v"]).reset_index(drop=True),
+        want.sort_values(["k", "v"]).reset_index(drop=True))
+
+
+def test_hash_join_from_pandas_input(ray_session):
+    import ray.data as rd
+
+    from dataprof_ray.pipelines.join import hash_join
+
+    left = pd.DataFrame({"k": [1, 2, 3, 4], "a": ["w", "x", "y", "z"]})
+    right = pd.DataFrame({"rk": [2, 3, 3, 9], "b": ["p", "q", "r", "s"]})
+    want = hash_join(rd.from_arrow(pa.Table.from_pandas(left)),
+                     rd.from_arrow(pa.Table.from_pandas(right)),
+                     left_key="k", right_key="rk", how="left",
+                     partitions=4).to_pandas()
+    got = hash_join(rd.from_pandas(left), rd.from_pandas(right),
+                    left_key="k", right_key="rk", how="left",
+                    partitions=4).to_pandas()
+    assert len(got) == 5
+    pd.testing.assert_frame_equal(
+        got.sort_values(["k", "b"]).reset_index(drop=True),
+        want.sort_values(["k", "b"]).reset_index(drop=True))

@@ -230,3 +230,16 @@ def test_keyed_tier_null_and_duplicate_ids(ray_session):
     # the common line really was removed everywhere, incl. null-id docs
     assert keyed["n_removed"].sum() == 7
     assert not keyed["cleaned_text"].str.contains("BOILERPLATE").any()
+
+
+def test_partitioned_tier_from_pandas_input(ray_session):
+    import ray.data as rd
+
+    texts = ["nav | home\nbody one", "nav | home\nbody two", "solo"]
+    df = pd.DataFrame({"doc_id": np.arange(3, dtype=np.int64), "text": texts})
+    want = (line_dedup(rd.from_arrow(pa.Table.from_pandas(df)))
+            .to_pandas().sort_values("doc_id").reset_index(drop=True))
+    got = (line_dedup(rd.from_pandas(df), broadcast_limit=0)
+           .to_pandas().sort_values("doc_id").reset_index(drop=True))
+    pd.testing.assert_frame_equal(got, want)
+    assert got["cleaned_text"].tolist() == ["body one", "body two", "solo"]

@@ -31,9 +31,7 @@ ALLOWED = {
     ("profile.py", "collect_column_state"):
         "tree merge uses grp as the merged part_key",
     ("ranking.py", "global_rank"):
-        "range split on sketch boundaries",
-    ("sampling.py", "shuffle_rank"):
-        "ranks whole md5-prefix subshards, ranges of the key order",
+        "range split: each __split group is a sketch range of the sort key",
     ("dedup.py", "semantic_dedup"):
         "one group per centroid cell",
 }

@@ -17,6 +17,18 @@ def embeddings(sf_dir) -> pa.Table:
     return pq.read_table(f"{sf_dir}/embeddings.parquet")
 
 
+@pytest.fixture
+def no_actor_pools(monkeypatch):
+    """Fail any execution in the test that plans an actor pool."""
+    from ray.data._internal.execution.operators.actor_pool_map_operator \
+        import ActorPoolMapOperator
+
+    def refuse(self, *args, **kwargs):
+        raise AssertionError("an ActorPoolMapOperator was planned")
+
+    monkeypatch.setattr(ActorPoolMapOperator, "__init__", refuse)
+
+
 class TestSimilarity:
     def test_brute_force_matches_numpy(self, ray_session, embeddings):
         import ray.data as rd
@@ -37,7 +49,7 @@ class TestSimilarity:
             # each query's own vector is its top hit with cosine ~1
             assert got[0] == ids[qi]
 
-    def test_ivf_recall(self, ray_session, embeddings):
+    def test_ivf_recall(self, ray_session, embeddings, no_actor_pools):
         import ray.data as rd
 
         vecs = np.array(embeddings.column("embedding").to_pylist(), dtype=np.float64)
@@ -50,6 +62,23 @@ class TestSimilarity:
             a = set(approx[approx.query_id == qi].vec_id)
             recalls.append(len(e & a) / len(e))
         assert np.mean(recalls) >= 0.5  # nprobe=4 of 8 cells
+
+    @pytest.mark.parametrize("op", ["brute_force_topk", "ivf_topk",
+                                    "quantized_topk"])
+    def test_empty_corpus_gives_typed_empty_topk(self, ray_session, op):
+        import ray.data as rd
+
+        ds = rd.from_arrow(pa.table({
+            "vec_id": pa.array([], pa.int64()),
+            "embedding": pa.FixedSizeListArray.from_arrays(
+                pa.array([], pa.float64()), 8),
+        }))
+        if op == "quantized_topk":
+            ds = SIM.quantize_embeddings(ds)
+        out = getattr(SIM, op)(ds, np.ones((2, 8)), k=3)
+        assert len(out) == 0
+        assert out.dtypes.astype(str).to_dict() == {
+            "query_id": "int64", "vec_id": "int64", "cosine": "float64"}
 
     def test_distributed_centroids_match_quality(self, ray_session, embeddings):
         """Full-data Lloyd passes produce centroids at least as good as the
@@ -172,13 +201,13 @@ class TestTextStats:
 
 
 class TestMultimodal:
-    def test_decode_stage_plumbing(self, ray_session):
+    def test_decode_stage_plumbing(self, ray_session, no_actor_pools):
         import ray.data as rd
 
         from dataprof_ray.stages import multimodal as MM
 
         t = MM.synthetic_media_table(32)
-        out = MM.decode_images(rd.from_arrow(t), concurrency=(1, 2)).to_pandas()
+        out = MM.decode_images(rd.from_arrow(t)).to_pandas()
         assert len(out) == 32
         assert (out.payload_bytes > 0).all()
         assert out.height.between(64, 255).all()
@@ -186,7 +215,7 @@ class TestMultimodal:
             # stub branch: every dim is fabricated and marked as such
             assert (~out.decode_ok).all()
         # deterministic fake decode
-        out2 = MM.decode_images(rd.from_arrow(t), concurrency=(1, 2)).to_pandas()
+        out2 = MM.decode_images(rd.from_arrow(t)).to_pandas()
         assert out.sort_values("media_id").height.tolist() == \
             out2.sort_values("media_id").height.tolist()
 
@@ -196,7 +225,7 @@ class TestMultimodal:
         from dataprof_ray.stages import multimodal as MM
 
         t = MM.synthetic_media_table(16)
-        out = MM.extract_image_features(rd.from_arrow(t), concurrency=(1, 2)).to_pandas()
+        out = MM.extract_image_features(rd.from_arrow(t)).to_pandas()
         assert len(out) == 16
         assert all(len(f) == MM.ImageFeatureStage.DIM for f in out.feature)
 
@@ -215,8 +244,7 @@ class TestMultimodal:
         from dataprof_ray.stages import multimodal as MM
 
         t = MM.synthetic_media_table(8)
-        out = MM.extract_audio_features(rd.from_arrow(t),
-                                        concurrency=(1, 2)).to_pandas()
+        out = MM.extract_audio_features(rd.from_arrow(t)).to_pandas()
         assert len(out) == 8
         assert (out.duration_ms > 0).all()
         assert ((out.rms >= 0) & (out.rms <= 1)).all()
@@ -232,6 +260,14 @@ class TestMultimodal:
         if MM._try_import_pil() is None:
             with pytest.raises(NotImplementedError):
                 MM.ImageDecodeStage(strict=True)
+            # the public wrappers raise at call time, before any Ray work
+            for wrapper in (MM.decode_images, MM.extract_image_features,
+                            MM.resize_images):
+                with pytest.raises(NotImplementedError):
+                    wrapper(None, strict=True)
+        if MM._try_import_av() is None:
+            with pytest.raises(NotImplementedError):
+                MM.sample_frames(None, strict=True)
 
 
 class TestLineage:
@@ -470,14 +506,14 @@ def test_image_resize_stage(ray_session):
 
     t = MM.synthetic_media_table(12, seed=3)
     out = (MM.resize_images(rd.from_arrow(t).repartition(2), target=64,
-                            concurrency=(1, 2), batch_size=4)
+                            batch_size=4)
            .to_pandas().sort_values("media_id").reset_index(drop=True))
     assert len(out) == 12
     assert {"media_id", "payload", "resized_bytes"} <= set(out.columns)
     assert (out["resized_bytes"] > 0).all()
     # deterministic: same payload -> same resized bytes
     out2 = (MM.resize_images(rd.from_arrow(t).repartition(5), target=64,
-                             concurrency=(1, 2), batch_size=4)
+                             batch_size=4)
             .to_pandas().sort_values("media_id").reset_index(drop=True))
     assert out["resized_bytes"].tolist() == out2["resized_bytes"].tolist()
     # strict mode surfaces the missing decoder honestly
