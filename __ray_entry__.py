@@ -24,6 +24,9 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
+# before any read: turns off Ray Data's per-operator resource reservation
+import dataprof_ray.pipelines  # noqa: F401
+
 SF001 = "/root/testdata/sf0.001"
 
 _NULL_LIKE = "({c} IS NULL OR LOWER(TRIM({c}, ' \t\n\r')) IN ('', 'null', 'nan'))"

@@ -303,15 +303,28 @@ class ColumnSample:
     def encode(cls, arr, render=None) -> "ColumnSample":
         """Encode an Arrow array of raw sample values. ``render`` maps a
         distinct raw value to its string; raw values that render alike
-        (``-0.0`` and ``0.0``, two instants in one second) merge."""
+        (``-0.0`` and ``0.0``, two instants in one second) merge. A
+        timestamp or date array's ``raw_year`` is read from its typed
+        values, not parsed back from the rendered text."""
         enc = pc.dictionary_encode(arr)
         codes = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
         if render is None:
             return cls(enc.dictionary.to_pylist(), codes)
         rendered = pa.array([render(v) for v in enc.dictionary.to_pylist()], pa.string())
         again = pc.dictionary_encode(rendered)
-        codes = again.indices.to_numpy(zero_copy_only=False).astype(np.int64)[codes]
-        return cls(again.dictionary.to_pylist(), codes)
+        remap = again.indices.to_numpy(zero_copy_only=False).astype(np.int64)
+        sample = cls(again.dictionary.to_pylist(), remap[codes])
+        if pa.types.is_timestamp(arr.type) or pa.types.is_date(arr.type):
+            # values that render alike share a second, so they share a year
+            year = np.empty(len(sample.values))
+            year[remap] = pc.year(enc.dictionary).to_numpy(zero_copy_only=False)
+            # "%Y" renders a year below 1000 in fewer than four digits: such
+            # values go through the text grammar like any other
+            short = np.nonzero(year < 1000)[0]
+            year[short] = _floats(K.parse_raw_datetime_year,
+                                  [sample.values[i] for i in short.tolist()])
+            sample.raw_year = year
+        return sample
 
     @classmethod
     def from_list(cls, values: list) -> "ColumnSample":
@@ -350,7 +363,7 @@ class ColumnSample:
     @cached_property
     def raw_year(self) -> np.ndarray:
         """``K.parse_raw_datetime_year`` of the untrimmed value; NaN where
-        it fails."""
+        it fails. ``encode`` sets it for a typed temporal sample."""
         return _floats(K.parse_raw_datetime_year, self.values)
 
 

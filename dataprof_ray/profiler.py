@@ -206,6 +206,7 @@ class Profiler:
             return self.analyze_file(obj)
         if hasattr(obj, "map_batches") and hasattr(obj, "schema"):  # Dataset
             return self.analyze_dataset(obj)
+        import dataprof_ray.pipelines  # noqa: F401 -- no per-operator reservation for this read
         from dataprof_ray.sources.readers import from_any
 
         mod = type(obj).__module__.split(".")[0]
@@ -216,6 +217,7 @@ class Profiler:
     # ---- internals ----
 
     def _open(self, path: str, fmt: str):
+        import dataprof_ray.pipelines  # noqa: F401 -- no per-operator reservation for this read
         from dataprof_ray.sources import readers as RD
 
         if fmt == "parquet":

@@ -6,6 +6,8 @@ os.environ.setdefault("RAY_DISABLE_IMPORT_WARNING", "1")
 
 # how long a finished test's CPUs may take to come back to the session
 CPU_RELEASE_TIMEOUT_S = 30
+# how long the session's end waits for leftover Ray Data iterator threads
+ITERATOR_THREAD_TIMEOUT_S = 5
 
 
 @pytest.fixture(scope="session")
@@ -22,6 +24,20 @@ def ray_session():
             logging_level="ERROR",
         )
     yield
+    # An early-stopped iteration leaves Ray Data's iterator threads
+    # ("map_tp_*") running until their next 0.5 s poll sees the closed
+    # generator. One that ends inside ray.shutdown(), after the core worker
+    # is gone, drops its block references there, and Ray ends the process
+    # with status 1 before pytest prints its summary. Let them end first.
+    import gc
+    import threading
+    import time
+
+    gc.collect()
+    deadline = time.monotonic() + ITERATOR_THREAD_TIMEOUT_S
+    for thread in threading.enumerate():
+        if thread.name.startswith("map_tp_"):
+            thread.join(max(0.0, deadline - time.monotonic()))
     ray.shutdown()
 
 
@@ -29,11 +45,12 @@ def ray_session():
 def _reap_streaming_executors(request):
     """Finalize dropped Datasets after every test, then require every CPU
     back. An early-stopped execution (limit / take / partial iter_batches)
-    keeps its streaming executor — and its actor pool's CPUs — alive until
-    the Dataset is garbage-collected; an actor killed while its creation
-    is still pending can keep its CPU for the rest of the session. Either
-    way the next query that needs the CPU would wait forever, so the test
-    that left a CPU held fails here, by name, instead. The CPUs free when
+    keeps its streaming executor — and the CPUs of its running tasks —
+    alive until the Dataset is garbage-collected; an actor (a test may
+    start one) killed while its creation is still pending can keep its
+    CPU for the rest of the session. Either way the next query that needs
+    the CPU would wait forever, so the test that left a CPU held fails
+    here, by name, instead. The CPUs free when
     the test started are the target, so a leak fails only the test that
     made it, not every test after it."""
     import gc

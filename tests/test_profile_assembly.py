@@ -293,3 +293,62 @@ def test_column_sample_encoding():
                                  None], pa.timestamp("us")))
     col = PP.encode_sample(stats)
     assert col.values == ["2024-01-01T00:00:00"] and col.counts.tolist() == [2]
+
+
+def _year_boundary_table(rows: int, seed: int) -> pa.Table:
+    """Instants within a day of a new year, naive, as UTC rendered in two
+    time zones (their local year differs from the UTC one), as dates, and
+    years below 1000, whose rendering has fewer than four year digits."""
+    rng = np.random.default_rng(seed)
+    edges = np.array(["1999-12-31T12:00", "2020-12-31T12:00", "2024-12-31T12:00",
+                      f"{datetime.now().year}-12-31T12:00"], "datetime64[ms]")
+    ts = (edges[rng.integers(0, len(edges), rows)]
+          + rng.integers(0, 86_400_000, rows).astype("timedelta64[ms]"))
+    utc = pa.array(ts, pa.timestamp("ms", tz="UTC"))
+    old = np.array(["0999-12-31T23:00", "1000-01-01T00:30", "0042-06-01T00:00"],
+                   "datetime64[ms]")
+    return pa.table({
+        "naive": pa.array(ts, pa.timestamp("ms")),
+        "tokyo": utc.cast(pa.timestamp("ms", tz="Asia/Tokyo")),
+        "new_york": utc.cast(pa.timestamp("us", tz="America/New_York")),
+        "day": pa.array(ts.astype("datetime64[D]"), pa.date32()),
+        "old": pa.array(old[rng.integers(0, len(old), rows)], pa.timestamp("ms"),
+                        mask=rng.random(rows) < 0.1),
+    })
+
+
+@pytest.mark.parametrize("chunk, capacity", [(500, 10_000), (300, 400)])
+def test_typed_timeliness_years_match_oracle(chunk, capacity):
+    """Timeliness years read from the typed reservoir give the oracle's
+    report, whose years are parsed from each rendered value."""
+    table = _year_boundary_table(2000, 3)
+    coll = _collect(table, chunk, capacity)
+    rep = _assert_same_report(coll)
+    assert rep.quality.timeliness.future_dates_count > 0
+    assert rep.quality.timeliness.invalid_date_values > 0  # the years below 1000
+    _assert_same_report(coll, temporal_columns=tuple(table.column_names))
+
+
+def test_typed_sample_years_skip_the_text_parse(monkeypatch):
+    """A timestamp or date sample's years come from ``pc.year`` on the typed
+    values, in the column's own time zone; years below 1000 still parse."""
+    parsed = []
+    real = K.parse_raw_datetime_year
+    monkeypatch.setattr(K, "parse_raw_datetime_year", lambda s: parsed.append(s) or real(s))
+    utc = pa.array([datetime(2023, 12, 31, 20), datetime(2024, 12, 31, 23, 59, 59)],
+                   pa.timestamp("s", tz="UTC"))
+    for arr, years in [
+        (utc, [2023, 2024]),
+        (utc.cast(pa.timestamp("s", tz="Asia/Tokyo")), [2024, 2025]),
+        (pa.array([datetime(2024, 1, 1), datetime(2023, 12, 31)], pa.date32()), [2024, 2023]),
+    ]:
+        stats = A.StreamingStatistics()
+        stats.update_array(arr)
+        col = PP.encode_sample(stats)
+        assert [col.raw_year[c] for c in col.codes] == years
+    assert parsed == []
+    stats = A.StreamingStatistics()
+    stats.update_array(pa.array([datetime(999, 1, 1), datetime(1000, 1, 1)], pa.timestamp("s")))
+    col = PP.encode_sample(stats)
+    assert np.isnan(col.raw_year[col.codes[0]]) and col.raw_year[col.codes[1]] == 1000
+    assert parsed == ["999-01-01T00:00:00"]
