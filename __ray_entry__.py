@@ -46,13 +46,10 @@ _DOC_COLS = [
 
 
 def _read(sf_dir: str, table: str, columns=None, **kwargs):
-    # one testdata table = one parquet file: Ray's default split (64 read
-    # tasks over one row group) re-reads the file per task, measured 2x
-    # slower than 16 blocks at sf0.1; 16 also gives downstream per-block
-    # tasks work to spread (a 1-block read serializes them)
+    # one testdata table = one parquet file; the reader sizes it to one
+    # block per CPU of the session
     from dataprof_ray.sources.readers import read_parquet
 
-    kwargs.setdefault("override_num_blocks", 16)
     return read_parquet(f"{sf_dir}/{table}.parquet", columns=columns, **kwargs)
 
 
@@ -393,8 +390,7 @@ def _heavy_hitters_cms_audit(sf_dir: str) -> pd.DataFrame:
     most error_bound with ~98% per-item probability)."""
     from dataprof_ray.pipelines.textstats import heavy_hitters_cms, top_terms
 
-    docs = _read(sf_dir, "documents", columns=["text"],
-                 override_num_blocks=16)
+    docs = _read(sf_dir, "documents", columns=["text"])
     exact = top_terms(docs, k=20)
     approx = heavy_hitters_cms(docs, k=20)
     true = dict(zip(exact["term"], exact["term_count"]))
@@ -423,8 +419,7 @@ def _neardup_vs_prior_audit(sf_dir: str) -> pd.DataFrame:
         ids = b.column("doc_id").to_numpy(zero_copy_only=False)
         return b.filter(pa.array(ids % 3 == 0))
 
-    docs = _read(sf_dir, "documents", columns=["doc_id", "text"],
-                 override_num_blocks=16)
+    docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
     prior = docs.map_batches(every_3rd, batch_format="pyarrow")
     out = (D.neardup_flags_vs_prior(docs, prior).to_pandas()
            .sort_values("doc_id").reset_index(drop=True))
@@ -452,8 +447,7 @@ def _neardup_vs_prior_verified(sf_dir: str) -> pd.DataFrame:
         ids = b.column("doc_id").to_numpy(zero_copy_only=False)
         return b.filter(pa.array(ids % 3 == 0))
 
-    docs = _read(sf_dir, "documents", columns=["doc_id", "text"],
-                 override_num_blocks=16)
+    docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
     prior = docs.map_batches(every_3rd, batch_format="pyarrow")
     return D.neardup_vs_prior_verified(docs, prior, threshold=0.7)
 
@@ -715,8 +709,7 @@ def _jaccard_pairs_exact(sf_dir: str):
     from dataprof_ray.pipelines.dedup import exact_jaccard_pairs
 
     return exact_jaccard_pairs(
-        _read(sf_dir, "documents", columns=["doc_id", "text"],
-              override_num_blocks=16),
+        _read(sf_dir, "documents", columns=["doc_id", "text"]),
         n=3, threshold=0.5)
 
 
@@ -791,8 +784,7 @@ def _jaccard_lsh_recall_audit(sf_dir: str) -> pd.DataFrame:
     from dataprof_ray.pipelines.dedup import (exact_jaccard_pairs,
                                               ngram_jaccard_duplicate_pairs)
 
-    docs = _read(sf_dir, "documents", columns=["doc_id", "text"],
-                 override_num_blocks=16)
+    docs = _read(sf_dir, "documents", columns=["doc_id", "text"])
     exact = exact_jaccard_pairs(docs, n=3, threshold=0.5).to_pandas()
     gated = ngram_jaccard_duplicate_pairs(docs, n=3, threshold=0.5)
     e = set(zip(exact["id_a"], exact["id_b"]))
@@ -1066,9 +1058,7 @@ def _topk_cosine(sf_dir: str) -> pd.DataFrame:
     from dataprof_ray.pipelines.similarity import brute_force_topk
 
     queries, qids = _load_queries(sf_dir)
-    # single-file read = ONE block = one scoring task; split it into 16
-    ds = _read(sf_dir, "embeddings", columns=["vec_id", "embedding"],
-               override_num_blocks=16)
+    ds = _read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
     out = brute_force_topk(ds, queries, k=10)
     out["query_id"] = out["query_id"].map(lambda i: qids[i]).astype(np.int64)
     out["cosine"] = round_away(out["cosine"], 4)
@@ -1364,8 +1354,7 @@ def _embedding_stats(sf_dir: str):
 def _langid_documents(sf_dir: str):
     from dataprof_ray.pipelines import textstats as T
 
-    return T.langid(_read(sf_dir, "documents", columns=["doc_id", "text"],
-                          override_num_blocks=16))
+    return T.langid(_read(sf_dir, "documents", columns=["doc_id", "text"]))
 
 
 def _quality_filter_documents(sf_dir: str):
@@ -1380,12 +1369,8 @@ def _quality_filter_documents(sf_dir: str):
 def _minhash_duplicate_groups(sf_dir: str) -> pd.DataFrame:
     from dataprof_ray.pipelines import dedup as D
 
-    # 16-way read split: documents ship as ONE parquet file per sf dir,
-    # and a single input block serializes the signature stage
-    # (measured 12s -> 5s at sf0.1)
     return D.minhash_lsh_duplicate_groups(
-        _read(sf_dir, "documents", columns=["doc_id", "text"],
-              override_num_blocks=16),
+        _read(sf_dir, "documents", columns=["doc_id", "text"]),
         verify_threshold=0.5,
     )
 
@@ -1394,8 +1379,7 @@ def _ngram_jaccard_pairs(sf_dir: str) -> pd.DataFrame:
     from dataprof_ray.pipelines import dedup as D
 
     return D.ngram_jaccard_duplicate_pairs(
-        _read(sf_dir, "documents", columns=["doc_id", "text"],
-              override_num_blocks=16),
+        _read(sf_dir, "documents", columns=["doc_id", "text"]),
         n=3, threshold=0.5,
     )
 
@@ -1403,8 +1387,7 @@ def _ngram_jaccard_pairs(sf_dir: str) -> pd.DataFrame:
 def _simhash_signatures(sf_dir: str):
     from dataprof_ray.pipelines import dedup as D
 
-    return _read(sf_dir, "documents", columns=["doc_id", "text"],
-                 override_num_blocks=16).map_batches(
+    return _read(sf_dir, "documents", columns=["doc_id", "text"]).map_batches(
         lambda b: D.simhash_stage(b), batch_format="pyarrow"
     )
 
@@ -1413,8 +1396,7 @@ def _embedding_neardup(sf_dir: str) -> pd.DataFrame:
     from dataprof_ray.pipelines import dedup as D
 
     return D.embedding_neardup_pairs(
-        _read(sf_dir, "embeddings", columns=["vec_id", "embedding"],
-              override_num_blocks=16)
+        _read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
     )
 
 
@@ -1478,8 +1460,7 @@ def _ivf_topk(sf_dir: str) -> pd.DataFrame:
     from dataprof_ray.pipelines.similarity import ivf_topk
 
     queries, qids = _load_queries(sf_dir)
-    ds = _read(sf_dir, "embeddings", columns=["vec_id", "embedding"],
-               override_num_blocks=16)
+    ds = _read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
     out = ivf_topk(ds, queries, k=10, n_cells=8, nprobe=4)
     if not out.empty:
         out["query_id"] = out["query_id"].map(lambda i: qids[i]).astype(np.int64)
@@ -2169,8 +2150,7 @@ def _quantization_audit(sf_dir: str) -> pd.DataFrame:
                                                    quantized_topk)
 
     queries, qids = _load_queries(sf_dir)
-    ds = _read(sf_dir, "embeddings", columns=["vec_id", "embedding"],
-               override_num_blocks=16)
+    ds = _read(sf_dir, "embeddings", columns=["vec_id", "embedding"])
     exact = brute_force_topk(ds, queries, k=10)
     approx = quantized_topk(quantize_embeddings(ds), queries, k=10)
     recalls = []
@@ -2240,8 +2220,7 @@ def _ppl_buckets_documents(sf_dir: str):
     from dataprof_ray.pipelines.lm import perplexity_buckets
 
     return perplexity_buckets(
-        _read(sf_dir, "documents", columns=["doc_id", "text"],
-              override_num_blocks=16), buckets=3)
+        _read(sf_dir, "documents", columns=["doc_id", "text"]), buckets=3)
 
 
 def _curated_split_counts(sf_dir: str) -> pd.DataFrame:

@@ -21,6 +21,7 @@ stratified caps each key via a hash-partitioned groupby.
 
 from __future__ import annotations
 
+from contextlib import closing
 from typing import Optional, Sequence
 
 import numpy as np
@@ -206,35 +207,39 @@ def progressive_sample(ds, initial_size: int = 10_000,
     numeric_cols: Optional[list] = None
     collected: list = []
     n = 0
-    for batch in ds.iter_batches(batch_format="pyarrow", batch_size=batch_size):
-        if numeric_cols is None:
-            numeric_cols = [
-                f.name for f in batch.schema
-                if pa.types.is_integer(f.type) or pa.types.is_floating(f.type)
-            ]
-        take = min(batch.num_rows, max_size - n)
-        if take <= 0:
-            break
-        if take < batch.num_rows:
-            batch = batch.slice(0, take)
-        collected.append(batch)
-        n += take
-        for c in numeric_cols:
-            vals = batch.column(c).to_numpy(zero_copy_only=False).astype(np.float64)
-            vals = vals[np.isfinite(vals)]
-            if not len(vals):
-                continue
-            bc, bm = len(vals), float(vals.mean())
-            bm2 = float(((vals - bm) ** 2).sum())
-            c0, m0, m20 = stats.get(c, (0, 0.0, 0.0))
-            delta = bm - m0
-            cn = c0 + bc
-            stats[c] = (cn, m0 + delta * bc / cn,
-                        m20 + bm2 + delta * delta * c0 * bc / cn)
-        if n >= max_size:
-            break
-        if n >= initial_size and numeric_cols and _rse_converged(stats, target):
-            break
+    # closed explicitly on every way out: Ray Data's iterator threads stop
+    # at their next poll, whatever else holds the generator
+    with closing(iter(ds.iter_batches(batch_format="pyarrow",
+                                      batch_size=batch_size))) as batches:
+        for batch in batches:
+            if numeric_cols is None:
+                numeric_cols = [
+                    f.name for f in batch.schema
+                    if pa.types.is_integer(f.type) or pa.types.is_floating(f.type)
+                ]
+            take = min(batch.num_rows, max_size - n)
+            if take <= 0:
+                break
+            if take < batch.num_rows:
+                batch = batch.slice(0, take)
+            collected.append(batch)
+            n += take
+            for c in numeric_cols:
+                vals = batch.column(c).to_numpy(zero_copy_only=False).astype(np.float64)
+                vals = vals[np.isfinite(vals)]
+                if not len(vals):
+                    continue
+                bc, bm = len(vals), float(vals.mean())
+                bm2 = float(((vals - bm) ** 2).sum())
+                c0, m0, m20 = stats.get(c, (0, 0.0, 0.0))
+                delta = bm - m0
+                cn = c0 + bc
+                stats[c] = (cn, m0 + delta * bc / cn,
+                            m20 + bm2 + delta * delta * c0 * bc / cn)
+            if n >= max_size:
+                break
+            if n >= initial_size and numeric_cols and _rse_converged(stats, target):
+                break
     if not collected:
         return pa.table({})
     return pa.concat_tables(collected)

@@ -221,9 +221,7 @@ class Profiler:
         from dataprof_ray.sources import readers as RD
 
         if fmt == "parquet":
-            import ray.data as rd
-
-            return rd.read_parquet(path)
+            return RD.read_parquet(path)
         if fmt == "csv":
             return RD.read_csv_robust(path, delimiter=self.config.csv_delimiter,
                                       flexible=self.config.csv_flexible)

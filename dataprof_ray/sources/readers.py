@@ -23,36 +23,100 @@ from __future__ import annotations
 import csv as _csv
 import io
 import json
+import os
 from dataclasses import dataclass
 from typing import Optional
 
 import pyarrow as pa
 
 SNIFF_BYTES = 4096
+# file and directory names a dataset read skips (pyarrow's ignore_prefixes)
+_IGNORED_PREFIXES = (".", "_")
 _DELIM_CANDIDATES = [",", ";", "\t", "|"]
 
 
 def read_parquet(path: str, *, columns=None, **kwargs):
-    """``ray.data.read_parquet`` with the file's schema passed explicitly,
-    METADATA-STRIPPED. pandas-written parquet carries a ``pandas`` JSON blob
-    in the schema metadata; Ray's read-op schema unification tries
-    ``set(schemas)`` for deduplication and the metadata dict makes that hash
-    fail — one "Failed to hash the schemas" warning per read plus an
-    O(fragments) unify. Stripping the metadata up front (one driver-side
-    footer read) restores hashable, identical fragment schemas."""
+    """``ray.data.read_parquet`` with two driver-side decisions made up front.
+
+    Schema: the file's schema is passed explicitly, METADATA-STRIPPED.
+    pandas-written parquet carries a ``pandas`` JSON blob in the schema
+    metadata; Ray's read-op schema unification tries ``set(schemas)`` for
+    deduplication and the metadata dict makes that hash fail — one "Failed
+    to hash the schemas" warning per read plus an O(fragments) unify.
+    Stripping the metadata up front (one driver-side footer read) restores
+    hashable, identical fragment schemas.
+
+    Block count: when the caller passes no ``override_num_blocks`` and the
+    read has fewer than 2 x the session's CPUs files, it reads
+    ``max(n_files, cpus)`` blocks. Ray's default asks for at least
+    2 x CPUs blocks and, with fewer files than that, splits every read
+    task's output (``ReadParquet->SplitBlocks(k)``); the optimizer never
+    fuses a read with a split factor into the map after it. With one block
+    per file and at least one per CPU, a read of as many files as CPUs is
+    one fused ``ReadParquet->MapBatches(...)`` operator, and a one-file
+    table still fills every CPU. From 2 x CPUs files on, Ray's default
+    stands: on a small table it groups the files into 2 x CPUs read tasks
+    and needs no split. A path that is not local keeps Ray's default too.
+
+    Ray's default is the 2 x CPUs floor only while the table's estimated
+    in-memory size is under about 2 x CPUs MiB; above that it asks for
+    one block per MiB, up to 200 (``read_op_min_num_blocks``). The rule
+    reads such a table in fewer, larger blocks, each still cut at
+    ``target_max_block_size`` (128 MiB). See SCALE.md, Read parallelism,
+    for what that costs and saves on a 193 MiB table."""
     import ray.data as rd
 
-    if "schema" not in kwargs and "filter" not in kwargs:
-        # a pushed-down filter may reference non-selected columns, which an
-        # explicit (pruned) schema would break — those reads keep Ray's own
-        # inference (and its one-line hash warning)
+    files = _data_files(path)
+    if kwargs.get("override_num_blocks") is None:
+        n_blocks = _read_blocks(files)
+        if n_blocks is not None:
+            kwargs["override_num_blocks"] = n_blocks
+    # a pushed-down filter may reference non-selected columns, which an
+    # explicit (pruned) schema would break, and a partitioned directory's
+    # partition columns are in no file — those reads keep Ray's own
+    # inference (and its one-line hash warning)
+    if ("schema" not in kwargs and "filter" not in kwargs and files
+            and (files == [path]
+                 or os.path.normpath(os.path.dirname(files[0]))
+                 == os.path.normpath(path))):
         import pyarrow.parquet as pq
 
-        s = pq.read_schema(_first_file(path)).remove_metadata()
+        s = pq.read_schema(files[0]).remove_metadata()
         if columns:  # the provided schema must match the PRUNED output
             s = pa.schema([s.field(c) for c in columns])
         kwargs["schema"] = s
     return rd.read_parquet(path, columns=columns, **kwargs)
+
+
+def _read_blocks(files: Optional[list]) -> Optional[int]:
+    """``max(n_files, cpus)`` while ``n_files < 2 x cpus``, else None
+    (Ray's default). None also for a path that is not local, or without
+    a Ray session to ask."""
+    import ray
+
+    if files is None or not ray.is_initialized():
+        return None
+    cpus = int(ray.cluster_resources().get("CPU", 0))
+    if len(files) >= 2 * cpus:
+        return None
+    return max(len(files), cpus)
+
+
+def _data_files(path: str) -> Optional[list]:
+    """The files a read of ``path`` covers, sorted, found as pyarrow's
+    discovery finds them: recursive, skipping ``.``/``_`` names (no
+    ``_SUCCESS``, ``_metadata`` or dotfiles). None when ``path`` is not
+    on the local file system."""
+    if os.path.isfile(path):
+        return [path]
+    if not os.path.isdir(path):
+        return None
+    found = []
+    for root, dirs, files in os.walk(path):
+        dirs[:] = [d for d in dirs if not d.startswith(_IGNORED_PREFIXES)]
+        found.extend(os.path.join(root, f) for f in files
+                     if not f.startswith(_IGNORED_PREFIXES))
+    return sorted(found)
 
 
 def sniff_delimiter(sample: bytes) -> str:
@@ -211,15 +275,12 @@ def read_csv_padded(
 
 
 def _first_file(path: str) -> str:
-    import glob
-    import os
-
-    if os.path.isdir(path):
-        hits = sorted(glob.glob(os.path.join(path, "*")))
-        if not hits:
-            raise FileNotFoundError(f"no files under {path}")
-        return hits[0]
-    return path
+    files = _data_files(path)
+    if files is None:
+        return path
+    if not files:
+        raise FileNotFoundError(f"no files under {path}")
+    return files[0]
 
 
 # ------------------------------------------------------------------ JSON

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import math
 import time as _time
+from contextlib import closing
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -239,12 +240,16 @@ def apply_stop_condition(ds, cond: StopCondition, batch_size: int = 8192):
     # the final chunk at any max_rows cap that fires on its own, so
     # composite conditions like any_of(max_rows, max_bytes) don't over-read
     cap = cond.firing_row_cap()
-    for batch in ds.iter_batches(batch_format="pyarrow", batch_size=batch_size):
-        if cap is not None and ev.rows + batch.num_rows > cap:
-            batch = batch.slice(0, cap - ev.rows)
-        out.append(batch)
-        reason = ev.observe(batch)
-        if reason is not None:
-            break
+    # closed explicitly on every way out: Ray Data's iterator threads stop
+    # at their next poll, whatever else holds the generator
+    with closing(iter(ds.iter_batches(batch_format="pyarrow",
+                                      batch_size=batch_size))) as batches:
+        for batch in batches:
+            if cap is not None and ev.rows + batch.num_rows > cap:
+                batch = batch.slice(0, cap - ev.rows)
+            out.append(batch)
+            reason = ev.observe(batch)
+            if reason is not None:
+                break
     table = pa.concat_tables(out) if out else pa.table({})
     return table, reason, ev

@@ -71,34 +71,62 @@ import dataprof_ray
 ray_imported = "ray" in sys.modules
 import ray
 from ray.data._internal.execution.resource_manager import ResourceManager
+from ray.data._internal.execution.streaming_executor import StreamingExecutor
 seen = []
 orig = ResourceManager.__init__
 def recording(self, *args, **kwargs):
     orig(self, *args, **kwargs)
     seen.append(self.op_resource_allocator_enabled())
 ResourceManager.__init__ = recording
+reads = []
+orig_execute = StreamingExecutor.execute
+def execute(executor, dag, *args, **kwargs):
+    stack = [dag]
+    while stack:
+        op = stack.pop()
+        if op.name.startswith("ReadParquet"):
+            reads.append(op.name)
+        stack.extend(op.input_dependencies)
+    return orig_execute(executor, dag, *args, **kwargs)
+StreamingExecutor.execute = execute
 ray.init(address="local", num_cpus=2, include_dashboard=False, logging_level="ERROR")
-report = dataprof_ray.profile(sys.argv[1])
+rows, plans = [], []
+for path in sys.argv[1:]:
+    reads.clear()
+    rows.append(dataprof_ray.profile(path).column_profiles[0].total_count)
+    plans.append(sorted(set(reads)))
 ray.shutdown()
 print(json.dumps({"ray_imported": ray_imported, "seen": seen,
-                  "rows": report.column_profiles[0].total_count}))
+                  "rows": rows, "plans": plans}))
 """
 
 
 def test_top_level_import_is_ray_free_and_the_facade_runs_full_width(tmp_path):
     """In a fresh process: ``import dataprof_ray`` leaves Ray out, and the
     one-shot facade, which reads the file before it imports any pipeline
-    module, still runs without the reservation."""
+    module, still runs without the reservation. Its parquet read goes
+    through ``readers.read_parquet`` on a 2-CPU session: one file reads as
+    2 blocks (Ray's default would split it into 4), and a directory of 2
+    files reads one block per file, fused with the first map."""
     import json
 
-    path = str(tmp_path / "t.parquet")
-    pq.write_table(pa.table({"x": list(range(300)), "c": ["a", "b", "c"] * 100}), path)
+    one = str(tmp_path / "t.parquet")
+    pq.write_table(pa.table({"x": list(range(300)), "c": ["a", "b", "c"] * 100}), one)
+    two = tmp_path / "two.parquet"
+    two.mkdir()
+    for k in range(2):
+        pq.write_table(pa.table({"x": list(range(150)), "c": ["a", "b", "c"] * 50}),
+                       str(two / f"part_{k}.parquet"))
     env = {k: v for k, v in os.environ.items() if k != "RAY_ADDRESS"}
-    proc = subprocess.run([sys.executable, "-c", _FRESH_PROCESS, path],
+    proc = subprocess.run([sys.executable, "-c", _FRESH_PROCESS, one, str(two)],
                           capture_output=True, text=True, cwd=REPO, env=env,
                           timeout=240)
     assert proc.returncode == 0, proc.stderr[-2000:]
     got = json.loads(proc.stdout.strip().splitlines()[-1])
     assert got["ray_imported"] is False
-    assert got["rows"] == 300
+    assert got["rows"] == [300, 300]
     assert got["seen"] and not any(got["seen"]), got["seen"]
+    one_plan, two_plan = got["plans"]
+    assert one_plan == ["ReadParquet->SplitBlocks(2)"], one_plan
+    assert two_plan and all(name.startswith("ReadParquet->MapBatches(")
+                            for name in two_plan), two_plan

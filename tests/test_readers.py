@@ -76,6 +76,114 @@ class TestJsonl:
             RD.read_jsonl("/nonexistent", policy="wat")
 
 
+class TestParquetBlocks:
+    """``read_parquet`` reads ``max(n_files, cpus)`` blocks below 2 x CPUs
+    files (the test session has 4 CPUs), and Ray's default from there on."""
+
+    @staticmethod
+    def _table(n_files, tmp_path):
+        import numpy as np
+        import pyarrow.parquet as pq
+
+        d = tmp_path / f"t{n_files}"
+        d.mkdir()
+        rng = np.random.default_rng(n_files)
+        for k in range(n_files):
+            pq.write_table(pa.table({
+                "id": pa.array(range(k * 500, (k + 1) * 500), pa.int64()),
+                "v": rng.normal(size=500),
+                "s": [f"s{i % 13}" for i in range(500)],
+            }), str(d / f"part_{k:02d}.parquet"))
+        return str(d)
+
+    @pytest.fixture
+    def executed_ops(self, monkeypatch):
+        """Operator names of every Ray Data execution run in the test."""
+        from ray.data._internal.execution.streaming_executor import (
+            StreamingExecutor)
+
+        names = []
+        orig = StreamingExecutor.execute
+
+        def recording(executor, dag, *args, **kwargs):
+            stack = [dag]
+            while stack:
+                op = stack.pop()
+                names.append(op.name)
+                stack.extend(op.input_dependencies)
+            return orig(executor, dag, *args, **kwargs)
+
+        monkeypatch.setattr(StreamingExecutor, "execute", recording)
+        return names
+
+    def test_one_block_per_file_fuses_the_read(self, ray_session, tmp_path,
+                                               executed_ops):
+        path = self._table(4, tmp_path)
+        assert RD.read_parquet(path).materialize().num_blocks() == 4
+        executed_ops.clear()
+        RD.read_parquet(path).map_batches(lambda b: b,
+                                          batch_format="pyarrow").materialize()
+        assert not [n for n in executed_ops if "SplitBlocks" in n], executed_ops
+        assert any(n.startswith("ReadParquet->MapBatches(")
+                   for n in executed_ops), executed_ops
+
+    def test_one_file_reads_one_block_per_cpu(self, ray_session, tmp_path):
+        path = self._table(1, tmp_path) + "/part_00.parquet"
+        assert RD.read_parquet(path).materialize().num_blocks() == 4
+
+    @pytest.mark.parametrize("n_files", [8, 16])
+    def test_many_files_keep_rays_default(self, ray_session, tmp_path,
+                                          n_files):
+        import ray.data as rd
+
+        path = self._table(n_files, tmp_path)
+        got = RD.read_parquet(path).materialize().num_blocks()
+        assert got == rd.read_parquet(path).materialize().num_blocks()
+        # 16 files: Ray groups them into 2 x CPUs read tasks, where one
+        # block per file would give 16
+        assert got == 8
+
+    def test_non_local_path_keeps_rays_default(self):
+        from dataprof_ray.sources.readers import _data_files, _read_blocks
+
+        assert _data_files("s3://bucket/table") is None
+        assert _read_blocks(_data_files("s3://bucket/table")) is None
+
+    def test_marker_files_are_skipped(self, ray_session, tmp_path):
+        path = self._table(4, tmp_path)
+        (tmp_path / "t4" / "_SUCCESS").write_bytes(b"")
+        ds = RD.read_parquet(path).materialize()
+        assert ds.count() == 2000 and ds.num_blocks() == 4
+
+    def test_partitioned_directory_keeps_its_partition_column(self, ray_session,
+                                                              tmp_path):
+        import pyarrow.parquet as pq
+
+        d = tmp_path / "hive"
+        for year in (2020, 2021):
+            (d / f"year={year}").mkdir(parents=True)
+            pq.write_table(pa.table({"x": [1, 2, 3]}),
+                           str(d / f"year={year}" / "part.parquet"))
+        got = RD.read_parquet(str(d)).to_pandas()
+        assert sorted(got.columns) == ["x", "year"]
+        assert sorted(got["year"].astype(str)) == ["2020"] * 3 + ["2021"] * 3
+
+    def test_explicit_override_wins(self, ray_session, tmp_path):
+        path = self._table(4, tmp_path)
+        ds = RD.read_parquet(path, override_num_blocks=8)
+        assert ds.materialize().num_blocks() == 8
+
+    @pytest.mark.parametrize("n_files", [1, 4, 8])
+    def test_rows_equal_pyarrow(self, ray_session, tmp_path, n_files):
+        import pyarrow.parquet as pq
+        import ray
+
+        path = self._table(n_files, tmp_path)
+        refs = RD.read_parquet(path).to_arrow_refs()
+        got = pa.concat_tables(ray.get(refs)).sort_by("id")
+        assert got.equals(pq.read_table(path).sort_by("id"))
+
+
 class TestFromAny:
     def test_dict(self, ray_session):
         assert RD.from_any({"x": [1, 2, 3]}).count() == 3

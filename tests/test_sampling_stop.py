@@ -235,3 +235,60 @@ class TestStopConditions:
                                                   batch_size=2000)
         # fires from the stable column alone despite the wild column existing
         assert reason == "ConfidenceReached"
+
+
+def _iterator_threads_left(before, timeout_s=2.0):
+    """Names of Ray Data iterator threads (``map_tp_*``) started since
+    ``before`` that are still alive after a join of at most ``timeout_s``."""
+    import threading
+    import time
+
+    deadline = time.monotonic() + timeout_s
+    new = [t for t in threading.enumerate()
+           if t.name.startswith("map_tp_") and t not in before]
+    for t in new:
+        t.join(max(0.0, deadline - time.monotonic()))
+    return [t.name for t in new if t.is_alive()]
+
+
+@pytest.mark.parametrize("stop_early", ["apply_stop_condition",
+                                        "progressive_sample"])
+def test_early_stop_closes_its_iterator(ray_session, table, stop_early,
+                                        monkeypatch):
+    """A driver-monitored stream that stops early closes its batch iterator
+    before it returns, so Ray Data's iterator threads end with the call.
+    The test keeps every iterator referenced, as a traceback, a debugger or
+    a non-refcounting interpreter may: the threads must not wait for that
+    reference to go."""
+    import threading
+
+    import ray.data as rd
+    from ray.data import Dataset
+
+    held = []
+    orig = Dataset.iter_batches
+
+    def holding(self, *args, **kwargs):
+        batches = iter(orig(self, *args, **kwargs))
+        held.append(batches)
+        return batches
+
+    monkeypatch.setattr(Dataset, "iter_batches", holding)
+    before = set(threading.enumerate())
+    try:
+        if stop_early == "apply_stop_condition":
+            _out, reason, _ev = ST.apply_stop_condition(
+                _ds(table), ST.StopCondition.max_bytes(64 * 1024),
+                batch_size=500)
+            assert reason == "MaxBytes"
+        else:
+            t = pa.table({"x": pa.array(np.full(50_000, 7.0))})
+            out = SA.progressive_sample(rd.from_arrow(t).repartition(8),
+                                        initial_size=1000, max_size=40_000)
+            assert out.num_rows < 5000
+        left = _iterator_threads_left(before)
+    finally:
+        for batches in held:
+            batches.close()
+    assert held
+    assert not left, left
